@@ -270,10 +270,16 @@ func runConcurrent() error {
 }
 
 // countingStore wraps a Store to count how many objects each write path
-// actually hashes and stores.
+// actually hashes and stores, and how many reads reach it.
 type countingStore struct {
 	store.Store
 	puts atomic.Int64
+	gets atomic.Int64
+}
+
+func (c *countingStore) Get(id object.ID) (object.Object, error) {
+	c.gets.Add(1)
+	return c.Store.Get(id)
 }
 
 func (c *countingStore) Put(o object.Object) (object.ID, error) {
@@ -797,6 +803,44 @@ func runCounters() error {
 		return fmt.Errorf("replicated objects per push not integral: %d over %d pushes", repObjs, sCommits)
 	}
 	emit("replica_wire_objects_per_push", repObjs/sCommits)
+
+	// --- backend reads per warm one-file commit ---
+	// A pack-backed repository behind the decoded-object cache takes two
+	// consecutive commits to one file four directories down. The second
+	// rebuilds the five trees the first one wrote a moment earlier; the
+	// cache holds them because the writer handed them over decoded, so no
+	// read may reach the pack.
+	warmDir, err := os.MkdirTemp("", "gitcite-counters-warm-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(warmDir)
+	warmPack, err := store.NewPackStore(warmDir)
+	if err != nil {
+		return err
+	}
+	defer warmPack.Close()
+	below := &countingStore{Store: warmPack}
+	warmRepo := &vcs.Repository{Objects: store.NewCachedStore(below, 4096), Refs: refs.NewMemoryStore()}
+	const warmPath = "/a/b/c/d/f.txt"
+	warmTip, err := warmRepo.CommitFiles("main", map[string]vcs.FileContent{
+		warmPath: vcs.File("seed"), "/a/g.txt": vcs.File("g"), "/h.txt": vcs.File("h"),
+	}, opts)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < 2; i++ {
+		warmBase, err := warmRepo.TreeOf(warmTip)
+		if err != nil {
+			return err
+		}
+		below.gets.Store(0)
+		edits := map[string]vcs.TreeEdit{warmPath: {Data: []byte(fmt.Sprintf("edit %d", i))}}
+		if warmTip, err = warmRepo.CommitDelta("main", warmBase, edits, nil, opts); err != nil {
+			return err
+		}
+	}
+	emit("backend_gets_per_warm_one_file_commit", below.gets.Load())
 
 	// --- index bytes per 64-object pack append batch ---
 	// The incremental index format journals one O(batch) segment per

@@ -993,7 +993,7 @@ func (s *Server) handlePushV1(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		objs[id] = o
-		batch = append(batch, store.Encoded{ID: id, Enc: enc})
+		batch = append(batch, store.Encoded{ID: id, Enc: enc, Obj: o})
 	}
 	resp, err := s.applyPush(ctx, repo, owner, name, hdr.Branch, tip, batch, objs)
 	if err != nil {
@@ -1043,7 +1043,7 @@ func (s *Server) handlePushLegacy(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		objs[id] = o
-		batch = append(batch, store.Encoded{ID: id, Enc: enc})
+		batch = append(batch, store.Encoded{ID: id, Enc: enc, Obj: o})
 	}
 	resp, err := s.applyPush(ctx, repo, owner, name, req.Branch, tip, batch, objs)
 	if err != nil {

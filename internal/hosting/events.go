@@ -9,7 +9,8 @@
 // off the retained window — or observes a new epoch after a primary restart
 // — simply re-negotiates from a fresh snapshot. That keeps the primary's
 // write path free of any per-follower bookkeeping: publishing is one
-// mutex-guarded append, and a primary with zero followers pays nothing else.
+// mutex-guarded append whose cost does not depend on how many events are
+// retained, and a primary with zero followers pays nothing else.
 package hosting
 
 import (
@@ -129,7 +130,8 @@ type eventLog struct {
 	mu     sync.Mutex
 	epoch  string
 	head   int64   // seq of the newest event; 0 before any publish
-	events []Event // seqs [head-len+1 .. head]
+	events []Event // seqs [head-len+1 .. head]; a window into buf
+	buf    []Event // backing array of events; see makeRoomLocked
 	notify chan struct{}
 	acks   map[string]*ackState
 	now    func() time.Time // injected in tests to age followers
@@ -171,6 +173,9 @@ func (l *eventLog) publish(ev Event) (epoch string, seq int64) {
 	l.mu.Lock()
 	l.head++
 	ev.Seq = l.head
+	if len(l.events) == cap(l.events) {
+		l.makeRoomLocked()
+	}
 	l.events = append(l.events, ev)
 	if len(l.events) > eventLogCap {
 		keepAfter := l.head - eventLogCap // retain seqs > keepAfter
@@ -182,7 +187,9 @@ func (l *eventLog) publish(ev Event) (epoch string, seq int64) {
 		}
 		oldest := l.head - int64(len(l.events)) // seq preceding the oldest retained event
 		if drop := keepAfter - oldest; drop > 0 {
-			l.events = append(l.events[:0:0], l.events[drop:]...)
+			// Trimming advances the window; the slots left behind are
+			// reclaimed by the next makeRoomLocked.
+			l.events = l.events[drop:]
 		}
 	}
 	close(l.notify)
@@ -190,6 +197,30 @@ func (l *eventLog) publish(ev Event) (epoch string, seq int64) {
 	epoch, seq = l.epoch, l.head
 	l.mu.Unlock()
 	return epoch, seq
+}
+
+// minEventBuf is the smallest backing array makeRoomLocked allocates.
+const minEventBuf = 64
+
+// makeRoomLocked is called when the window has reached the end of its
+// backing array: it moves the window to the front of an array twice its
+// length, reusing the current array when it already has that size. That is
+// the steady state — a ring trimmed to a constant length slides down once
+// per len(events) publishes, so a publish copies one event on average and
+// allocates nothing — and since the move frees len(events) slots, a window
+// that is growing (a slow follower holding it open) or was just trimmed far
+// down pays one allocation per doubling or halving. Backing memory is thus
+// at most twice the window it was last sized for, and a trimmed event's
+// strings stay reachable for at most one more lap. Events handed to pollers
+// are copies (since), so overwriting slots is safe. Callers hold l.mu.
+func (l *eventLog) makeRoomLocked() {
+	n := len(l.events)
+	size := max(2*n, minEventBuf)
+	if size != len(l.buf) {
+		l.buf = make([]Event, size)
+	}
+	copy(l.buf, l.events)
+	l.events = l.buf[:n]
 }
 
 // minLiveAckLocked returns the smallest acknowledged cursor among followers
@@ -244,7 +275,7 @@ func (l *eventLog) rotate() string {
 	l.mu.Lock()
 	l.epoch = newEpoch()
 	l.head = 0
-	l.events = nil
+	l.events, l.buf = nil, nil
 	l.acks = make(map[string]*ackState)
 	close(l.notify)
 	l.notify = make(chan struct{})
@@ -276,6 +307,13 @@ func (l *eventLog) wait() <-chan struct{} {
 func (l *eventLog) since(cursor int64, id string) (evs []Event, head int64, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.sinceLocked(cursor, id)
+}
+
+// sinceLocked is since for callers that hold l.mu — a poll reads the epoch
+// under the same acquisition, so the events it answers with are never
+// paired with another epoch's identifier.
+func (l *eventLog) sinceLocked(cursor int64, id string) (evs []Event, head int64, ok bool) {
 	oldest := l.head - int64(len(l.events)) // seq preceding the oldest retained event
 	if cursor > l.head || cursor < oldest {
 		return nil, l.head, false
@@ -325,7 +363,6 @@ func (p *Platform) EventsFrom(ctx context.Context, followerID string, since int6
 	if err := ctx.Err(); err != nil {
 		return EventsResponse{}, err
 	}
-	epoch, _ := p.events.state()
 	var deadline <-chan time.Time
 	if wait > 0 {
 		t := time.NewTimer(wait)
@@ -333,8 +370,15 @@ func (p *Platform) EventsFrom(ctx context.Context, followerID string, since int6
 		deadline = t.C
 	}
 	for {
+		// The wake channel is taken BEFORE the window is read, so a publish
+		// racing the read is never missed; epoch, head and events come from
+		// one lock acquisition, so a rotation between two laps of this loop
+		// cannot pair the old epoch with the new feed's events.
 		wake := p.events.wait()
-		evs, head, ok := p.events.since(since, followerID)
+		p.events.mu.Lock()
+		epoch := p.events.epoch
+		evs, head, ok := p.events.sinceLocked(since, followerID)
+		p.events.mu.Unlock()
 		if !ok {
 			return EventsResponse{Epoch: epoch, Head: head, Reset: true}, nil
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -34,8 +35,8 @@ func parseSignature(s string) (Signature, error) {
 	}
 	name := strings.TrimSpace(s[:lt])
 	email := s[lt+1 : gt]
-	var unix int64
-	if _, err := fmt.Sscanf(strings.TrimSpace(s[gt+1:]), "%d", &unix); err != nil {
+	unix, err := strconv.ParseInt(strings.TrimSpace(s[gt+1:]), 10, 64)
+	if err != nil {
 		return Signature{}, fmt.Errorf("object: bad signature time in %q", s)
 	}
 	return Signature{Name: name, Email: email, When: time.Unix(unix, 0).UTC()}, nil

@@ -10,10 +10,12 @@
 package object
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // Type discriminates the kinds of objects held in a store.
@@ -121,7 +123,11 @@ type Object interface {
 // yields the object's ID.
 func Encode(o Object) []byte {
 	payload := o.encode(nil)
-	header := fmt.Sprintf("%s %d\x00", o.Type(), len(payload))
+	var buf [maxHeaderLen]byte
+	header := append(buf[:0], o.Type().String()...)
+	header = append(header, ' ')
+	header = strconv.AppendInt(header, int64(len(payload)), 10)
+	header = append(header, 0)
 	out := make([]byte, 0, len(header)+len(payload))
 	out = append(out, header...)
 	return append(out, payload...)
@@ -160,26 +166,21 @@ func DecodeTyped(data []byte, want Type) (Object, error) {
 	return o, nil
 }
 
+// maxHeaderLen bounds "<type> <payload-len>\x00": the longest type name, a
+// space, a 19-digit length and the terminator fit with room to spare.
+const maxHeaderLen = 34
+
 func splitHeader(data []byte) (Type, []byte, error) {
-	nul := -1
-	for i, b := range data {
-		if b == 0 {
-			nul = i
-			break
-		}
-		if i > 32 {
-			break
-		}
-	}
+	nul := bytes.IndexByte(data[:min(len(data), maxHeaderLen)], 0)
 	if nul < 0 {
 		return TypeInvalid, nil, errors.New("object: missing header terminator")
 	}
-	var name string
-	var length int
-	if _, err := fmt.Sscanf(string(data[:nul]), "%s %d", &name, &length); err != nil {
-		return TypeInvalid, nil, fmt.Errorf("object: bad header %q: %v", data[:nul], err)
+	name, num, ok := bytes.Cut(data[:nul], []byte{' '})
+	length, err := strconv.Atoi(string(num))
+	if !ok || err != nil {
+		return TypeInvalid, nil, fmt.Errorf("object: bad header %q", data[:nul])
 	}
-	typ, err := ParseType(name)
+	typ, err := ParseType(string(name))
 	if err != nil {
 		return TypeInvalid, nil, err
 	}

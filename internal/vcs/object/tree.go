@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -170,8 +171,8 @@ func decodeTree(payload []byte) (*Tree, error) {
 		if sp < 0 {
 			return nil, errors.New("object: tree entry: missing mode separator")
 		}
-		var mode uint32
-		if _, err := fmt.Sscanf(string(rest[:sp]), "%o", &mode); err != nil {
+		mode, err := strconv.ParseUint(string(rest[:sp]), 8, 32)
+		if err != nil {
 			return nil, fmt.Errorf("object: tree entry: bad mode %q", rest[:sp])
 		}
 		rest = rest[sp+1:]

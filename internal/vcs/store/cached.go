@@ -14,7 +14,8 @@ import (
 // of the time.
 const cacheShardCount = 16
 
-// CachedStore is a read-through LRU cache over another Store. Because
+// CachedStore is an LRU cache over another Store: read-through, and
+// write-through for objects the writer hands over decoded. Because
 // objects are immutable, cached entries can never go stale; eviction is
 // purely a memory-bound concern. It is safe for concurrent use.
 //
@@ -178,10 +179,23 @@ func (s *CachedStore) PutMany(objs []object.Object) ([]object.ID, error) {
 }
 
 // PutManyEncoded implements RawBatchStore by forwarding to the backend's
-// raw path. The cache is not populated (there are no decoded objects to
-// hold); entries fill on first read as usual.
+// raw path, then writes through the commits and trees the producer passed
+// decoded. Nothing is cached before the backend has acknowledged the whole
+// batch, so a failed or torn batch leaves the cache claiming no object the
+// backend may lack. Blobs are left to enter on first read: a push uploads
+// file contents nobody may ever ask this server for, while the trees and
+// commits above them are read back by the very next commit, negotiation or
+// citation lookup.
 func (s *CachedStore) PutManyEncoded(batch []Encoded) error {
-	return PutManyEncoded(s.backend, batch)
+	if err := PutManyEncoded(s.backend, batch); err != nil {
+		return err
+	}
+	for _, e := range batch {
+		if e.Obj != nil && e.Obj.Type() != object.TypeBlob {
+			s.insert(e.ID, e.Obj)
+		}
+	}
+	return nil
 }
 
 // HasMany implements BatchStore: cache hits are answered locally — one

@@ -202,8 +202,9 @@ func TestFileStoreConcurrent(t *testing.T) {
 	}
 }
 
-// TestCachedStoreConcurrent drives parallel Put/Get/Has through the
-// sharded cache over a live backend; run with -race.
+// TestCachedStoreConcurrent drives parallel Put/Get/Has and raw batches
+// with write-through trees through the sharded cache over a live backend;
+// run with -race.
 func TestCachedStoreConcurrent(t *testing.T) {
 	cs := NewCachedStore(NewMemoryStore(), 64)
 	var seed []object.ID
@@ -230,8 +231,27 @@ func TestCachedStoreConcurrent(t *testing.T) {
 					return
 				}
 				if i%50 == 0 {
-					if _, err := cs.Put(object.NewBlobString(fmt.Sprintf("w%d-%d", w, i))); err != nil {
+					blobID, err := cs.Put(object.NewBlobString(fmt.Sprintf("w%d-%d", w, i)))
+					if err != nil {
 						t.Errorf("Put: %v", err)
+						return
+					}
+					// A commit's raw batch: the tree rides along decoded and
+					// must be readable the moment the batch is acknowledged.
+					tree, err := object.NewTree([]object.TreeEntry{{Name: "f", Mode: object.ModeFile, ID: blobID}})
+					if err != nil {
+						t.Errorf("NewTree: %v", err)
+						return
+					}
+					enc := object.Encode(tree)
+					treeID := object.HashBytes(enc)
+					if err := cs.PutManyEncoded([]Encoded{{ID: treeID, Enc: enc, Obj: tree}}); err != nil {
+						t.Errorf("PutManyEncoded: %v", err)
+						return
+					}
+					got, err := GetTree(cs, treeID)
+					if err != nil || got.Len() != 1 {
+						t.Errorf("GetTree after write-through = %v, %v", got, err)
 						return
 					}
 				}

@@ -50,10 +50,24 @@ func (s *FileStore) pathFor(id object.ID) string {
 // stripe returns the lock covering the object's fanout directory.
 func (s *FileStore) stripe(id object.ID) *sync.RWMutex { return &s.locks[id[0]] }
 
+// compressionLevel is the zlib level of every loose-object and pack-record
+// payload this process writes. It is a storage constant, not part of the
+// format: the payload is a plain zlib stream at any level, so readers,
+// Repack's byte-for-byte fold and repositories written at another level are
+// unaffected. BestSpeed because a write compresses on the caller's clock
+// and objects here are small (trees, commits, citation files): the default
+// level made a pack append take half as long again for 3–6 % fewer bytes on
+// disk (BENCH.md, PR 12).
+const compressionLevel = zlib.BestSpeed
+
 var (
 	// zlibWriterPool recycles compressors across Puts; Reset re-targets a
 	// writer at a new destination buffer without reallocating its state.
-	zlibWriterPool = sync.Pool{New: func() any { return zlib.NewWriter(io.Discard) }}
+	// NewWriterLevel only fails for a level outside zlib's range.
+	zlibWriterPool = sync.Pool{New: func() any {
+		zw, _ := zlib.NewWriterLevel(io.Discard, compressionLevel)
+		return zw
+	}}
 	// compressBufPool recycles the destination buffers the compressed
 	// stream is staged in before the locked filesystem write.
 	compressBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}

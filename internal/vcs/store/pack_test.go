@@ -108,6 +108,37 @@ func closureFingerprint(t *testing.T, s Store, tip object.ID) [32]byte {
 	return out
 }
 
+// pushClosure lands tip's closure in dst the way a push or a commit does:
+// raw batches of canonical encodings, each with the decoded object riding
+// along. It returns how many of the objects were blobs.
+func pushClosure(t *testing.T, dst, src Store, tip object.ID, rng *rand.Rand) (blobs int) {
+	t.Helper()
+	var batch []Encoded
+	flush := func() {
+		if err := PutManyEncoded(dst, batch); err != nil {
+			t.Fatalf("PutManyEncoded: %v", err)
+		}
+		batch = nil
+	}
+	size := 1 + rng.Intn(8)
+	err := WalkClosure(src, func(id object.ID, o object.Object) error {
+		if o.Type() == object.TypeBlob {
+			blobs++
+		}
+		batch = append(batch, Encoded{ID: id, Enc: object.Encode(o), Obj: o})
+		if len(batch) == size {
+			flush()
+			size = 1 + rng.Intn(8)
+		}
+		return nil
+	}, tip)
+	if err != nil {
+		t.Fatalf("closure walk: %v", err)
+	}
+	flush()
+	return blobs
+}
+
 func newTestPackStore(t *testing.T, dir string) *PackStore {
 	t.Helper()
 	ps, err := NewPackStore(dir)
@@ -120,8 +151,9 @@ func newTestPackStore(t *testing.T, dir string) *PackStore {
 
 // TestClosureBitIdenticalAcrossStores is the cross-backend property suite:
 // the same random history transferred into Memory, File and Pack stores —
-// and through a Repack and a cold reopen of the pack — always yields
-// bit-identical object closures.
+// through a Repack and a cold reopen of the pack, and out of a write-through
+// cache that never read what it serves — always yields bit-identical object
+// closures.
 func TestClosureBitIdenticalAcrossStores(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -166,6 +198,28 @@ func TestClosureBitIdenticalAcrossStores(t *testing.T) {
 			reopened := newTestPackStore(t, packDir)
 			if got := closureFingerprint(t, reopened, tip); got != want {
 				t.Error("PackStore closure differs after reopen")
+			}
+
+			// Write-through: a cache in front of a fresh pack serves the
+			// commits and trees of a pushed closure without going back to
+			// the pack for them, and what it serves is what a cold open of
+			// the same directory decodes.
+			wtDir := filepath.Join(t.TempDir(), "objects")
+			wtPack := newTestPackStore(t, wtDir)
+			wt := NewCachedStore(wtPack, 4096)
+			blobs := pushClosure(t, wt, mem, tip, rand.New(rand.NewSource(seed)))
+			if got := closureFingerprint(t, wt, tip); got != want {
+				t.Error("write-through cache serves a closure that differs from MemoryStore")
+			}
+			if _, misses := wt.Stats(); misses != uint64(blobs) {
+				t.Errorf("closure walk went below the cache %d times, want once per blob (%d): commits and trees are written through",
+					misses, blobs)
+			}
+			if err := wtPack.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := closureFingerprint(t, newTestPackStore(t, wtDir), tip); got != want {
+				t.Error("cold open differs from what the write-through cache served")
 			}
 
 			// Incremental-index crash orders: each simulated crash leaves a

@@ -73,21 +73,32 @@ func PutMany(s Store, objs []object.Object) ([]object.ID, error) {
 // ID derived from it. Producers that had to encode and hash anyway (the
 // tree builder derives child IDs during construction) hand these to
 // PutManyEncoded so stores do not encode and hash a second time.
+//
+// Obj is optional: a producer that also holds the object decoded (it built
+// it, or decoded the upload to verify it) passes it along, and a caching
+// store keeps it once the batch has landed, so the reads that follow a write
+// — the next commit's walk down the spine it just built, the negotiation
+// over the trees just pushed — do not go back to disk and decode what the
+// writer had in hand a moment earlier. Only commits and trees are kept; a
+// blob's Obj is ignored (see CachedStore.PutManyEncoded).
 type Encoded struct {
 	ID  object.ID
 	Enc []byte
+	Obj object.Object
 }
 
 // RawBatchStore is an optional interface for stores that ingest canonical
 // encodings directly, skipping the re-encode/re-hash a Put of the decoded
 // object would pay. The store takes ownership of the Enc slices.
 //
-// Trust contract: each ID MUST equal object.HashBytes(Enc) and Enc must
-// not be mutated afterwards. Stores index the bytes under the given ID
-// without re-verifying (re-hashing on ingest would erase the saving this
+// Trust contract: each ID MUST equal object.HashBytes(Enc), a non-nil Obj
+// MUST be what object.Decode(Enc) returns, and neither may be mutated
+// afterwards — the store owns both. Stores index the bytes under the given
+// ID without re-verifying (re-hashing on ingest would erase the saving this
 // interface exists for), so a violating producer corrupts the
 // content-addressed store — memory-backed stores silently, file-backed
-// ones detected at Get time by hash verification.
+// ones detected at Get time by hash verification — and a wrong Obj is
+// served from the cache until it is evicted.
 type RawBatchStore interface {
 	PutManyEncoded(batch []Encoded) error
 }

@@ -122,12 +122,14 @@ func BuildTreeDelta(s store.Store, base object.ID, edits map[string]TreeEdit, re
 	// pending accumulates every newly created object (children before
 	// parents) in canonical form, for a single raw batch Put once the
 	// whole delta is hashed. Each object is encoded and hashed exactly
-	// once — here — and never again by the store.
+	// once — here — and never again by the store; the decoded form rides
+	// along so a caching store can serve the trees built here to the next
+	// commit without reading them back.
 	var pending []store.Encoded
 	hash := func(o object.Object) object.ID {
 		enc := object.Encode(o)
 		id := object.HashBytes(enc)
-		pending = append(pending, store.Encoded{ID: id, Enc: enc})
+		pending = append(pending, store.Encoded{ID: id, Enc: enc, Obj: o})
 		return id
 	}
 
@@ -201,7 +203,7 @@ func BuildTreeDelta(s store.Store, base object.ID, edits map[string]TreeEdit, re
 		if id == baseID {
 			return id, nil // rebuilt identically; nothing new to store
 		}
-		pending = append(pending, store.Encoded{ID: id, Enc: enc})
+		pending = append(pending, store.Encoded{ID: id, Enc: enc, Obj: tree})
 		return id, nil
 	}
 

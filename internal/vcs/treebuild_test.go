@@ -1,10 +1,13 @@
 package vcs
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"github.com/gitcite/gitcite/internal/faultinject"
 	"github.com/gitcite/gitcite/internal/vcs/object"
 	"github.com/gitcite/gitcite/internal/vcs/store"
 )
@@ -145,16 +148,62 @@ func (e *editScript) randomExisting(rng *rand.Rand) (string, bool) {
 	return paths[rng.Intn(len(paths))], true
 }
 
+// assertCacheClaimsNothingBackendLacks checks, for every candidate ID, that
+// the cache and the store below it agree on presence through Has, HasMany
+// and Get — after a failed or torn batch the cache must hold none of the
+// batch's objects.
+func assertCacheClaimsNothingBackendLacks(t *testing.T, cache *store.CachedStore, backend store.Store, ids []object.ID) {
+	t.Helper()
+	below, err := store.HasMany(backend, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	above, err := cache.HasMany(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		has, err := cache.Has(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, getErr := cache.Get(id)
+		if above[i] != below[i] || has != below[i] || (getErr == nil) != below[i] {
+			t.Errorf("object %s: backend has=%v, cache HasMany=%v Has=%v Get err=%v",
+				id.Short(), below[i], above[i], has, getErr)
+		}
+	}
+}
+
 // TestBuildTreeDeltaEquivalenceProperty drives random add/modify/remove/
 // move scripts and checks, round after round, that the incremental build
 // against the previous round's root is bit-identical (same root tree ID)
 // to a from-scratch build of the full file map.
+//
+// The store is the production stack — a write-through cache over a pack —
+// so every base tree a round reads is one the previous round handed to the
+// cache decoded, never one read back from disk. Two rounds per script lose
+// their batch to an injected fault (one torn after its first object, one
+// failed outright): the cache must then claim nothing the pack lacks, and
+// the retry must land the same root. At the end every object the cache
+// served re-encodes to the bytes a cold open of the directory returns.
 func TestBuildTreeDeltaEquivalenceProperty(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			s := store.NewMemoryStore()
+			dir := t.TempDir()
+			pack, err := store.NewPackStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pack.Close()
+			sched := faultinject.NewSchedule(
+				faultinject.Rule{Match: "PutManyEncoded", After: 3, Count: 1, Fault: faultinject.FaultTornBatch, Arg: 1},
+				faultinject.Rule{Match: "PutManyEncoded", After: 8, Count: 1, Fault: faultinject.FaultErr},
+			)
+			s := store.NewCachedStore(faultinject.WrapStore("pack", sched, pack), 4096)
+			served := map[object.ID][]byte{}
 			es := &editScript{
 				mirror:  map[string]string{},
 				edits:   map[string]TreeEdit{},
@@ -192,25 +241,66 @@ func TestBuildTreeDeltaEquivalenceProperty(t *testing.T) {
 				for p := range es.removed {
 					removed = append(removed, p)
 				}
-				got, err := BuildTreeDelta(s, base, es.edits, removed)
-				if err != nil {
-					t.Fatalf("round %d: BuildTreeDelta: %v", round, err)
-				}
 				full := make(map[string]FileContent, len(es.mirror))
 				for p, content := range es.mirror {
 					full[p] = File(content)
 				}
-				want, err := BuildTree(store.NewMemoryStore(), full)
+				scratch := store.NewMemoryStore()
+				want, err := BuildTree(scratch, full)
 				if err != nil {
 					t.Fatalf("round %d: BuildTree: %v", round, err)
+				}
+				got, err := BuildTreeDelta(s, base, es.edits, removed)
+				if errors.Is(err, faultinject.ErrInjected) {
+					// The batch was lost: everything it held is in the
+					// from-scratch closure, so that is the candidate set.
+					ids, err := store.ClosureIDs(scratch, want)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertCacheClaimsNothingBackendLacks(t, s, pack, ids)
+					got, err = BuildTreeDelta(s, base, es.edits, removed)
+					if err != nil {
+						t.Fatalf("round %d: retry after injected fault: %v", round, err)
+					}
+				} else if err != nil {
+					t.Fatalf("round %d: BuildTreeDelta: %v", round, err)
 				}
 				if got != want {
 					t.Fatalf("round %d: incremental root %s != from-scratch %s (files=%d, edits=%d, removed=%d)",
 						round, got.Short(), want.Short(), len(es.mirror), len(es.edits), len(removed))
 				}
+				err = store.WalkClosure(s, func(id object.ID, o object.Object) error {
+					served[id] = object.Encode(o)
+					return nil
+				}, got)
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
 				base = got
 				es.edits = map[string]TreeEdit{}
 				es.removed = map[string]bool{}
+			}
+			if sched.Fired(0) != 1 || sched.Fired(1) != 1 {
+				t.Errorf("faults fired %d torn, %d failed; want one of each", sched.Fired(0), sched.Fired(1))
+			}
+
+			if err := pack.Close(); err != nil {
+				t.Fatal(err)
+			}
+			cold, err := store.NewPackStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cold.Close()
+			for id, enc := range served {
+				o, err := cold.Get(id)
+				if err != nil {
+					t.Fatalf("cold open lacks %s, which the cache served: %v", id.Short(), err)
+				}
+				if !bytes.Equal(object.Encode(o), enc) {
+					t.Errorf("object %s: the cache served bytes a cold open does not return", id.Short())
+				}
 			}
 		})
 	}

@@ -631,6 +631,58 @@ func runCounters() error {
 	}
 	emit("store_puts_per_one_file_commit", totalPuts/cCommits)
 
+	// --- store Puts per merge commit (1000-file repo, one file per side) ---
+	// Two branches each edit one file two directories down; MergeBranches
+	// may write only what the merge changed in the destination: the
+	// directories on theirs' path, the root once for the file merge and
+	// once more with the merged citation.cite, that blob and the commit.
+	mergeCounting := &countingStore{Store: store.NewMemoryStore()}
+	mergeRepo := &gitcite.Repo{
+		VCS:  &vcs.Repository{Objects: mergeCounting, Refs: refs.NewMemoryStore()},
+		Meta: gitcite.Meta{Owner: "bench", Name: "merge", URL: "https://x/merge"},
+	}
+	ours, err := mergeRepo.Checkout("main")
+	if err != nil {
+		return err
+	}
+	for p, fc := range fileMap {
+		if err := ours.WriteFile(p, fc.Data); err != nil {
+			return err
+		}
+	}
+	forkPoint, err := ours.Commit(opts)
+	if err != nil {
+		return err
+	}
+	if err := mergeRepo.VCS.CreateBranch("side", forkPoint); err != nil {
+		return err
+	}
+	theirs, err := mergeRepo.Checkout("side")
+	if err != nil {
+		return err
+	}
+	// Every version gets its own commit time, so each re-dates the root
+	// citation and writes a citation.cite of its own, as real ones do.
+	at := func(unix int64) vcs.CommitOptions {
+		return vcs.CommitOptions{Author: vcs.Sig("bench", "bench@x", time.Unix(unix, 0)), Message: "bench"}
+	}
+	for i, side := range []struct {
+		wt   *gitcite.Worktree
+		path string
+	}{{ours, "/d3/s4/f430.txt"}, {theirs, "/d7/s2/f127.txt"}} {
+		if err := side.wt.WriteFile(side.path, []byte("diverged")); err != nil {
+			return err
+		}
+		if _, err := side.wt.Commit(at(int64(2 + i))); err != nil {
+			return err
+		}
+	}
+	mergeCounting.puts.Store(0)
+	if res, err := mergeRepo.MergeBranches("main", "side", gitcite.MergeOptions{Commit: at(4)}); err != nil || res.FastForward {
+		return fmt.Errorf("merge counter: fast-forward %v, err %v", res.FastForward, err)
+	}
+	emit("store_puts_per_merge_commit", mergeCounting.puts.Load())
+
 	// --- wire objects per one-commit sync (HTTP, both directions) ---
 	local, err := gitcite.NewMemoryRepo(gitcite.Meta{Owner: "bench", Name: "repo", URL: "https://x/repo"})
 	if err != nil {

@@ -99,6 +99,10 @@ type Repository = impl.Repo
 // Worktree is a mutable working copy of one branch.
 type Worktree = impl.Worktree
 
+// ErrStaleWorktree is returned by Worktree.Commit when the branch moved since
+// the worktree was checked out; match it with errors.Is.
+var ErrStaleWorktree = impl.ErrStaleWorktree
+
 // CommitOptions carries commit metadata.
 type CommitOptions = vcs.CommitOptions
 

@@ -20,9 +20,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"reflect"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"github.com/gitcite/gitcite/internal/core"
 	"github.com/gitcite/gitcite/internal/vcs"
@@ -95,36 +96,98 @@ func fromWire(e entryJSON) (core.Citation, error) {
 // Encode serialises a citation function deterministically. isDir reports
 // whether an active-domain path is a directory in the version tree, which
 // controls the trailing slash on keys; nil means "no trailing slashes".
+//
+// The file is a concatenation of per-entry values memoised on the
+// function's records (see encoding): an entry is marshalled the first time
+// any version containing its record is encoded, so encoding the version
+// after a one-entry edit marshals that entry and the re-dated root, and
+// copies the rest. Only the key is decided per call — a path can turn from
+// file into directory while its citation stays.
 func Encode(f *core.Function, isDir func(path string) bool) ([]byte, error) {
-	entries := f.ActiveDomain()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Path < entries[j].Path })
+	records := f.Records()
+	size := len("{\n}\n")
+	for _, pr := range records {
+		enc, err := encoding(pr.Record)
+		if err != nil {
+			return nil, err
+		}
+		size += len(pr.Path) + len(enc.Bytes) + len("  \"/\": ,\n")
+	}
 
-	var buf bytes.Buffer
-	buf.WriteString("{\n")
-	for i, pc := range entries {
-		key := pc.Path
-		if key != "/" && isDir != nil && isDir(pc.Path) {
+	buf := make([]byte, 0, size)
+	buf = append(buf, "{\n"...)
+	for i, pr := range records {
+		key := pr.Path
+		if key != "/" && isDir != nil && isDir(pr.Path) {
 			key += "/"
 		}
 		keyJSON, err := json.Marshal(key)
 		if err != nil {
 			return nil, err
 		}
-		valJSON, err := json.MarshalIndent(toWire(pc.Citation), "  ", "  ")
-		if err != nil {
-			return nil, err
+		buf = append(buf, "  "...)
+		buf = append(buf, keyJSON...)
+		buf = append(buf, ": "...)
+		buf = append(buf, pr.Record.Encoding().Bytes...) // memoised by the sizing pass
+		if i < len(records)-1 {
+			buf = append(buf, ',')
 		}
-		buf.WriteString("  ")
-		buf.Write(keyJSON)
-		buf.WriteString(": ")
-		buf.Write(valJSON)
-		if i < len(entries)-1 {
-			buf.WriteString(",")
-		}
-		buf.WriteString("\n")
+		buf = append(buf, '\n')
 	}
-	buf.WriteString("}\n")
-	return buf.Bytes(), nil
+	buf = append(buf, "}\n"...)
+	return buf, nil
+}
+
+// encoding returns the record's memoised file form — its value exactly as
+// Encode writes it, and the record Decode reads back from those bytes —
+// computing and memoising it on first use. The canonical record is obtained
+// by decoding the entry's own bytes, so "canonical" has no definition apart
+// from the codec's.
+func encoding(r *core.Record) (*core.Encoding, error) {
+	if enc := r.Encoding(); enc != nil {
+		return enc, nil
+	}
+	c := r.Citation()
+	val, err := json.MarshalIndent(toWire(c), "  ", "  ")
+	if err != nil {
+		return nil, err
+	}
+	enc := &core.Encoding{Bytes: val}
+	if back, err := DecodeEntry(val); err == nil {
+		if reflect.DeepEqual(back, c) {
+			enc.Canonical = r
+		} else {
+			enc.Canonical = core.NewRecord(back)
+			// The canonical record encodes to the bytes it was read from,
+			// with one exception: JSON writes an invalid byte as the escape
+			// \ufffd and the U+FFFD it decodes to verbatim. Such a record
+			// is marshalled afresh when a version first holds it.
+			if !bytes.Contains(val, []byte(`\ufffd`)) {
+				enc.Canonical.SetEncoding(&core.Encoding{Bytes: val, Canonical: enc.Canonical})
+			}
+		}
+	}
+	return r.SetEncoding(enc), nil
+}
+
+// Canonical returns the function Decode(Encode(f, …)) returns, without
+// encoding or decoding anything Encode has not already memoised: every
+// record is replaced by its canonical form, which for the records of a
+// decoded function is the record itself. ok is false when the encoded file
+// would not decode back to a function keyed like f (an entry whose bytes do
+// not parse or canonicalise to nothing, a key JSON cannot carry verbatim).
+func Canonical(f *core.Function) (canon *core.Function, ok bool) {
+	records := f.Records()
+	out := make(map[string]*core.Record, len(records))
+	for _, pr := range records {
+		enc, err := encoding(pr.Record)
+		if err != nil || enc.Canonical == nil || !utf8.ValidString(pr.Path) {
+			return nil, false
+		}
+		out[pr.Path] = enc.Canonical
+	}
+	canon, err := core.FromRecords(out)
+	return canon, err == nil
 }
 
 // Decode parses a citation file back into a citation function. Keys are
@@ -136,7 +199,7 @@ func Decode(data []byte) (*core.Function, error) {
 	if err := dec.Decode(&raw); err != nil {
 		return nil, fmt.Errorf("citefile: parse: %w", err)
 	}
-	entries := make(map[string]core.Citation, len(raw))
+	records := make(map[string]*core.Record, len(raw))
 	for key, e := range raw {
 		p := key
 		if p != "/" {
@@ -146,16 +209,16 @@ func Decode(data []byte) (*core.Function, error) {
 		if err != nil {
 			return nil, fmt.Errorf("citefile: key %q: %w", key, err)
 		}
-		if _, dup := entries[clean]; dup {
+		if _, dup := records[clean]; dup {
 			return nil, fmt.Errorf("citefile: duplicate key %q after canonicalisation", clean)
 		}
 		c, err := fromWire(e)
 		if err != nil {
 			return nil, err
 		}
-		entries[clean] = c
+		records[clean] = core.NewRecord(c)
 	}
-	return core.FromEntries(entries)
+	return core.FromRecords(records)
 }
 
 // EncodeEntry serialises a single citation (used by the hosting API and the

@@ -18,20 +18,34 @@ func (f *Function) Subtree(srcRoot string) (map[string]Citation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := map[string]Citation{}
-	for p, c := range f.snapshot() {
+	records, err := f.subtreeRecords(clean)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]Citation, len(records))
+	for p, r := range records {
+		out[p] = r.cite.Clone()
+	}
+	return out, nil
+}
+
+// subtreeRecords is Subtree over the shared records: every entry is the
+// source's own record, a sealed subtree root that of its closest cited
+// ancestor.
+func (f *Function) subtreeRecords(clean string) (map[string]*Record, error) {
+	all := f.snapshot()
+	out := map[string]*Record{}
+	for p, r := range all {
 		if vcs.IsAncestorPath(clean, p) {
-			out[p] = c.Clone()
+			out[p] = r
 		}
 	}
-	if _, ok := out[clean]; !ok {
-		sealed, _, err := f.Resolve(clean)
-		if err != nil {
-			return nil, err
+	for p := clean; out[clean] == nil; p = vcs.ParentPath(p) {
+		if r, ok := all[p]; ok {
+			out[clean] = r
+		} else if p == "/" {
+			return nil, ErrRootRequired
 		}
-		// Resolve returns a shallow citation off the index; clone it so the
-		// extracted subtree shares no storage with the source function.
-		out[clean] = sealed.Clone()
 	}
 	return out, nil
 }
@@ -59,13 +73,13 @@ func (dst *Function) MigrateSubtree(src *Function, srcRoot, dstRoot string, dstT
 	if err != nil {
 		return nil, err
 	}
-	sub, err := src.Subtree(srcClean)
+	sub, err := src.subtreeRecords(srcClean)
 	if err != nil {
 		return nil, err
 	}
 
 	// Validate everything before mutating, so failures leave dst unchanged.
-	staged := make(map[string]Citation, len(sub))
+	staged := make(map[string]*Record, len(sub))
 	for p, c := range sub {
 		np, err := vcs.RebasePath(p, srcClean, dstClean)
 		if err != nil {

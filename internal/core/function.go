@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/gitcite/gitcite/internal/vcs"
@@ -24,13 +26,16 @@ import (
 // Committed versions hold snapshots taken with Clone, which is
 // copy-on-write: the clone shares the entry map with its source until
 // either side is next mutated, so snapshotting a large function is O(1).
+// Entries are immutable Records shared by pointer: a mutation replaces the
+// record at one path and every other path keeps the record (and the
+// serialisation memoised on it) it had in the previous version.
 // Methods that change the function correspond one-to-one to the paper's
 // operators: Add (AddCite), Delete (DelCite), Modify (ModifyCite), Rename
 // (the side effect of Git renames), plus the subtree and merge operations
 // that implement CopyCite and MergeCite.
 type Function struct {
 	mu      sync.RWMutex
-	entries map[string]Citation
+	entries map[string]*Record
 	// cow marks the entry map as shared with at least one other Function
 	// (a Clone source or product); the next mutation copies it first.
 	cow bool
@@ -69,7 +74,7 @@ func NewFunction(root Citation) (*Function, error) {
 	if err := root.ValidateRoot(); err != nil {
 		return nil, err
 	}
-	return &Function{entries: map[string]Citation{"/": root.Clone()}}, nil
+	return &Function{entries: map[string]*Record{"/": NewRecord(root.Clone())}}, nil
 }
 
 // MustNewFunction is NewFunction that panics on error; for tests.
@@ -84,22 +89,34 @@ func MustNewFunction(root Citation) *Function {
 // FromEntries builds a function from explicit path→citation pairs. The set
 // must include the root.
 func FromEntries(entries map[string]Citation) (*Function, error) {
-	f := &Function{entries: make(map[string]Citation, len(entries))}
+	records := make(map[string]*Record, len(entries))
 	for p, c := range entries {
+		records[p] = NewRecord(c.Clone())
+	}
+	return FromRecords(records)
+}
+
+// FromRecords is FromEntries over ready-made records, which the function
+// shares rather than copies — how a codec builds a function without cloning
+// what it just decoded, and how a canonical function reuses the records of
+// the version before it.
+func FromRecords(records map[string]*Record) (*Function, error) {
+	f := &Function{entries: make(map[string]*Record, len(records))}
+	for p, r := range records {
 		clean, err := vcs.CleanPath(p)
 		if err != nil {
 			return nil, err
 		}
-		if c.IsZero() {
+		if r.cite.IsZero() {
 			return nil, fmt.Errorf("%w: %q", ErrEmptyCitation, clean)
 		}
-		f.entries[clean] = c.Clone()
+		f.entries[clean] = r
 	}
 	root, ok := f.entries["/"]
 	if !ok {
 		return nil, fmt.Errorf("%w: no entry for \"/\"", ErrRootRequired)
 	}
-	if err := root.ValidateRoot(); err != nil {
+	if err := root.cite.ValidateRoot(); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -117,20 +134,39 @@ func (f *Function) Clone() *Function {
 	return out
 }
 
+// Assign makes f a copy-on-write snapshot of g, as f = g.Clone() would, but
+// in place: everyone holding f sees g's entries from now on. Worktrees use
+// it to re-base their live function onto the version they just committed.
+func (f *Function) Assign(g *Function) {
+	g.mu.Lock()
+	g.cow = true
+	entries := g.entries
+	g.mu.Unlock()
+	f.mu.Lock()
+	f.entries, f.cow = entries, true
+	f.invalidateLocked()
+	f.mu.Unlock()
+}
+
 // prepareWriteLocked readies the function for a mutation: a shared
 // (copy-on-write) entry map is copied, and the resolution index is dropped.
-// Citation values are shared by the copy — the package invariant is that a
-// stored Citation is only ever replaced whole, never mutated in place, so a
-// shallow map copy fully detaches the two functions. Callers hold mu.
+// Records are shared by the copy — they are immutable, so a shallow map copy
+// fully detaches the two functions. Callers hold mu.
 func (f *Function) prepareWriteLocked() {
 	if f.cow {
-		m := make(map[string]Citation, len(f.entries))
+		m := make(map[string]*Record, len(f.entries))
 		for p, c := range f.entries {
 			m[p] = c
 		}
 		f.entries = m
 		f.cow = false
 	}
+	f.invalidateLocked()
+}
+
+// invalidateLocked drops the resolution index after (or just before) a
+// change to the entry map. Callers hold mu.
+func (f *Function) invalidateLocked() {
 	f.gen++
 	f.idx = nil
 	f.kidx = nil
@@ -148,7 +184,7 @@ func (f *Function) Len() int {
 func (f *Function) Root() Citation {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return f.entries["/"].Clone()
+	return f.entries["/"].cite.Clone()
 }
 
 // Has reports whether the path is in the active domain.
@@ -177,7 +213,7 @@ func (f *Function) Get(path string) (Citation, error) {
 	if !ok {
 		return Citation{}, fmt.Errorf("%w: %q", ErrNoEntry, clean)
 	}
-	return c.Clone(), nil
+	return c.cite.Clone(), nil
 }
 
 // Add implements AddCite: attach a citation to a path that has none. The
@@ -199,7 +235,7 @@ func (f *Function) Add(tree Tree, path string, c Citation) error {
 		return fmt.Errorf("%w: %q (use Modify)", ErrEntryExists, clean)
 	}
 	f.prepareWriteLocked()
-	f.entries[clean] = c.Clone()
+	f.entries[clean] = NewRecord(c.Clone())
 	return nil
 }
 
@@ -224,7 +260,7 @@ func (f *Function) Modify(path string, c Citation) error {
 		return fmt.Errorf("%w: %q (use Add)", ErrNoEntry, clean)
 	}
 	f.prepareWriteLocked()
-	f.entries[clean] = c.Clone()
+	f.entries[clean] = NewRecord(c.Clone())
 	return nil
 }
 
@@ -251,7 +287,7 @@ func (f *Function) Set(tree Tree, path string, c Citation) error {
 		return fmt.Errorf("%w: %q", ErrPathNotInTree, clean)
 	}
 	f.prepareWriteLocked()
-	f.entries[clean] = c.Clone()
+	f.entries[clean] = NewRecord(c.Clone())
 	return nil
 }
 
@@ -299,8 +335,8 @@ func (f *Function) Resolve(path string) (Citation, string, error) {
 	gen := f.gen
 	var hit resolved
 	for p := clean; ; p = vcs.ParentPath(p) {
-		if c, ok := f.entries[p]; ok {
-			hit = resolved{cite: c, from: p}
+		if r, ok := f.entries[p]; ok {
+			hit = resolved{cite: r.cite, from: p}
 			break
 		}
 		if p == "/" {
@@ -341,8 +377,8 @@ func (f *Function) ResolveKey(k *PathKey) (Citation, string, error) {
 	var hit resolved
 	found := false
 	for a := k; a != nil; a = a.parent {
-		if c, ok := f.entries[a.clean]; ok {
-			hit = resolved{cite: c, from: a.clean}
+		if r, ok := f.entries[a.clean]; ok {
+			hit = resolved{cite: r.cite, from: a.clean}
 			found = true
 			break
 		}
@@ -387,8 +423,8 @@ func (f *Function) ResolveChain(path string) ([]PathCitation, error) {
 	gen := f.gen
 	var reversed []PathCitation
 	for p := clean; ; p = vcs.ParentPath(p) {
-		if c, ok := f.entries[p]; ok {
-			reversed = append(reversed, PathCitation{Path: p, Citation: c})
+		if r, ok := f.entries[p]; ok {
+			reversed = append(reversed, PathCitation{Path: p, Citation: r.cite})
 		}
 		if p == "/" {
 			break
@@ -416,11 +452,25 @@ func (f *Function) ResolveChain(path string) ([]PathCitation, error) {
 func (f *Function) ActiveDomain() []PathCitation {
 	f.mu.RLock()
 	out := make([]PathCitation, 0, len(f.entries))
-	for p, c := range f.entries {
-		out = append(out, PathCitation{Path: p, Citation: c.Clone()})
+	for p, r := range f.entries {
+		out = append(out, PathCitation{Path: p, Citation: r.cite.Clone()})
 	}
 	f.mu.RUnlock()
 	sortPathCitations(out)
+	return out
+}
+
+// Records lists the explicit entries in sorted path order as the shared
+// records themselves: nothing is copied, and a codec finds (or leaves) its
+// memo on each.
+func (f *Function) Records() []PathRecord {
+	f.mu.RLock()
+	out := make([]PathRecord, 0, len(f.entries))
+	for p, r := range f.entries {
+		out = append(out, PathRecord{Path: p, Record: r})
+	}
+	f.mu.RUnlock()
+	slices.SortFunc(out, func(a, b PathRecord) int { return strings.Compare(a.Path, b.Path) })
 	return out
 }
 
@@ -458,7 +508,7 @@ func (f *Function) Rename(oldPath, newPath string) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	moved := map[string]Citation{}
+	moved := map[string]*Record{}
 	for p, c := range f.entries {
 		if vcs.IsAncestorPath(oldClean, p) {
 			np, err := vcs.RebasePath(p, oldClean, newClean)
@@ -518,27 +568,26 @@ func (f *Function) Validate(tree Tree) error {
 	if !ok {
 		return fmt.Errorf("%w: no entry for \"/\"", ErrRootRequired)
 	}
-	if err := root.ValidateRoot(); err != nil {
+	if err := root.cite.ValidateRoot(); err != nil {
 		return err
 	}
-	for p, c := range f.entries {
+	for p, r := range f.entries {
 		if !tree.Exists(p) {
 			return fmt.Errorf("%w: %q", ErrPathNotInTree, p)
 		}
-		if c.IsZero() {
+		if r.cite.IsZero() {
 			return fmt.Errorf("%w: %q", ErrEmptyCitation, p)
 		}
 	}
 	return nil
 }
 
-// snapshot returns a shallow copy of the entry map: a private map whose
-// Citation values share storage with the function. Safe to iterate without
-// holding the lock; values must not be mutated in place.
-func (f *Function) snapshot() map[string]Citation {
+// snapshot returns a shallow copy of the entry map: a private map of the
+// function's shared records. Safe to iterate without holding the lock.
+func (f *Function) snapshot() map[string]*Record {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	m := make(map[string]Citation, len(f.entries))
+	m := make(map[string]*Record, len(f.entries))
 	for p, c := range f.entries {
 		m[p] = c
 	}
@@ -558,7 +607,7 @@ func (f *Function) Equal(o *Function) bool {
 	}
 	for p, c := range fe {
 		oc, ok := oe[p]
-		if !ok || !c.Equal(oc) {
+		if !ok || !c.equal(oc) {
 			return false
 		}
 	}

@@ -107,39 +107,39 @@ func Merge(ours, theirs *Function, mergedTree Tree, opts MergeOptions) (MergeRes
 	out.mu.Lock()
 	out.prepareWriteLocked()
 	out.mu.Unlock()
-	var baseEntries map[string]Citation
+	var baseEntries map[string]*Record
 	if opts.Base != nil {
 		baseEntries = opts.Base.snapshot()
 	}
 	var conflicts []MergeConflict
 
-	for p, theirC := range theirs.snapshot() {
-		ourC, inOurs := out.entries[p]
+	// Entries pass from either side into the merged function as the shared
+	// records they are, so encoding it reuses both sides' memoised entries.
+	for p, theirR := range theirs.snapshot() {
+		ourR, inOurs := out.entries[p]
 		if !inOurs {
-			out.entries[p] = theirC.Clone()
+			out.entries[p] = theirR
 			continue
 		}
-		if ourC.Equal(theirC) {
+		if ourR.equal(theirR) {
 			continue
 		}
-		c := MergeConflict{Path: p, Ours: ourC.Clone(), Theirs: theirC.Clone()}
-		if baseEntries != nil {
-			if baseC, ok := baseEntries[p]; ok {
-				c.Base = baseC.Clone()
-				c.HasBase = true
-			}
+		c := MergeConflict{Path: p, Ours: ourR.cite.Clone(), Theirs: theirR.cite.Clone()}
+		if baseR, ok := baseEntries[p]; ok {
+			c.Base = baseR.cite.Clone()
+			c.HasBase = true
 		}
 		conflicts = append(conflicts, c)
 
-		chosen, err := settle(c, opts)
+		chosen, err := settle(c, opts, ourR, theirR)
 		if err != nil {
 			return MergeResult{}, fmt.Errorf("%s: %w", p, err)
 		}
-		if chosen.IsZero() {
+		if chosen.cite.IsZero() {
 			return MergeResult{}, fmt.Errorf("%s: %w", p, ErrEmptyCitation)
 		}
 		if p == "/" {
-			if err := chosen.ValidateRoot(); err != nil {
+			if err := chosen.cite.ValidateRoot(); err != nil {
 				return MergeResult{}, err
 			}
 		}
@@ -154,26 +154,28 @@ func Merge(ours, theirs *Function, mergedTree Tree, opts MergeOptions) (MergeRes
 	return MergeResult{Function: out, Conflicts: conflicts, Pruned: pruned}, nil
 }
 
-func settle(c MergeConflict, opts MergeOptions) (Citation, error) {
+// settle picks the record a conflict resolves to: one of the two sides'
+// own records, or a new one for a citation the resolver returned.
+func settle(c MergeConflict, opts MergeOptions, ours, theirs *Record) (*Record, error) {
 	switch opts.Strategy {
 	case StrategyOurs:
-		return c.Ours, nil
+		return ours, nil
 	case StrategyTheirs:
-		return c.Theirs, nil
+		return theirs, nil
 	case StrategyNewest:
 		if c.Theirs.CommittedDate.After(c.Ours.CommittedDate) {
-			return c.Theirs, nil
+			return theirs, nil
 		}
-		return c.Ours, nil
+		return ours, nil
 	case StrategyThreeWay:
 		if c.HasBase {
 			oursChanged := !c.Ours.Equal(c.Base)
 			theirsChanged := !c.Theirs.Equal(c.Base)
 			switch {
 			case !oursChanged && theirsChanged:
-				return c.Theirs, nil
+				return theirs, nil
 			case oursChanged && !theirsChanged:
-				return c.Ours, nil
+				return ours, nil
 			}
 		}
 		// Both changed (or no base entry): residual conflict.
@@ -181,19 +183,19 @@ func settle(c MergeConflict, opts MergeOptions) (Citation, error) {
 	case StrategyAsk:
 		return resolveOrFail(c, opts)
 	default:
-		return Citation{}, fmt.Errorf("core: unknown merge strategy %d", opts.Strategy)
+		return nil, fmt.Errorf("core: unknown merge strategy %d", opts.Strategy)
 	}
 }
 
-func resolveOrFail(c MergeConflict, opts MergeOptions) (Citation, error) {
+func resolveOrFail(c MergeConflict, opts MergeOptions) (*Record, error) {
 	if opts.Resolver == nil {
-		return Citation{}, ErrUnresolvedConflict
+		return nil, ErrUnresolvedConflict
 	}
 	chosen, err := opts.Resolver(c)
 	if err != nil {
-		return Citation{}, err
+		return nil, err
 	}
-	return chosen.Clone(), nil
+	return NewRecord(chosen.Clone()), nil
 }
 
 func sortMergeConflicts(s []MergeConflict) {

@@ -2,6 +2,7 @@ package gitcite
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/gitcite/gitcite/internal/citefile"
 	"github.com/gitcite/gitcite/internal/core"
@@ -87,23 +88,26 @@ func (r *Repo) MergeBranches(dstBranch, srcBranch string, opts MergeOptions) (Me
 		}
 	}
 
-	// File-level three-way merge, with citation.cite excluded: the paper is
-	// explicit that Git's conflict rules must not touch the citation file.
-	strippedBase, err := dropCiteFile(r.VCS.Objects, baseTree)
+	// File-level three-way merge. The paper is explicit that Git's conflict
+	// rules must not touch the citation file: its entry is settled as ours
+	// without consulting the caller's resolver, hidden from the merged
+	// tree's view below, and replaced by the merged function's encoding.
+	files := opts.Files
+	files.Resolver = func(c merge.Conflict) merge.Resolution {
+		if c.Path != citefile.Path && opts.Files.Resolver != nil {
+			return opts.Files.Resolver(c)
+		}
+		return merge.ResolveOurs
+	}
+	fileRes, err := merge.Trees(r.VCS.Objects, baseTree, dstTree, srcTree, files)
 	if err != nil {
 		return MergeResult{}, err
 	}
-	strippedDst, err := dropCiteFile(r.VCS.Objects, dstTree)
-	if err != nil {
-		return MergeResult{}, err
-	}
-	strippedSrc, err := dropCiteFile(r.VCS.Objects, srcTree)
-	if err != nil {
-		return MergeResult{}, err
-	}
-	fileRes, err := merge.Trees(r.VCS.Objects, strippedBase, strippedDst, strippedSrc, opts.Files)
-	if err != nil {
-		return MergeResult{}, err
+	conflicts := fileRes.Conflicts[:0]
+	for _, c := range fileRes.Conflicts {
+		if c.Path != citefile.Path {
+			conflicts = append(conflicts, c)
+		}
 	}
 
 	// Citation-function merge over the merged tree.
@@ -140,16 +144,14 @@ func (r *Repo) MergeBranches(dstBranch, srcBranch string, opts MergeOptions) (Me
 	}
 
 	// Write the merged citation file into the merged tree and commit with
-	// both parents.
+	// both parents. Encoding reuses the bytes both sides memoised on the
+	// records they passed on; only settled conflicts and the re-dated root
+	// are marshalled.
 	data, err := citefile.Encode(citeRes.Function, mergedTree.IsDir)
 	if err != nil {
 		return MergeResult{}, err
 	}
-	blobID, err := r.VCS.Objects.Put(objectBlob(data))
-	if err != nil {
-		return MergeResult{}, err
-	}
-	finalTree, err := vcs.InsertSubtree(r.VCS.Objects, fileRes.TreeID, citefile.Path, fileEntry(blobID))
+	finalTree, err := vcs.BuildTreeDelta(r.VCS.Objects, fileRes.TreeID, map[string]vcs.TreeEdit{citefile.Path: {Data: data}}, nil)
 	if err != nil {
 		return MergeResult{}, err
 	}
@@ -160,24 +162,17 @@ func (r *Repo) MergeBranches(dstBranch, srcBranch string, opts MergeOptions) (Me
 	if err := r.VCS.Refs.Set("refs/heads/"+dstBranch, commitID); err != nil {
 		return MergeResult{}, err
 	}
+	// Seed the read cache as Worktree.Commit does: the merge commit's first
+	// reader finds what decoding the stored file would give it.
+	if canon, ok := citefile.Canonical(citeRes.Function); ok {
+		r.cacheFunction(commitID, canon)
+	}
 	return MergeResult{
 		CommitID:        commitID,
-		FileConflicts:   fileRes.Conflicts,
+		FileConflicts:   conflicts,
 		CiteConflicts:   citeRes.Conflicts,
 		PrunedCitations: citeRes.Pruned,
 	}, nil
-}
-
-// dropCiteFile returns the tree without its /citation.cite entry (zero in,
-// zero out).
-func dropCiteFile(s store.Store, treeID object.ID) (object.ID, error) {
-	if treeID.IsZero() {
-		return treeID, nil
-	}
-	if !vcs.PathExists(s, treeID, citefile.Path) {
-		return treeID, nil
-	}
-	return vcs.RemovePath(s, treeID, citefile.Path)
 }
 
 // CopyCite copies the directory (or file) at srcPath in a source repository
@@ -251,8 +246,8 @@ func (wt *Worktree) CopyCite(src *Repo, srcCommit object.ID, srcPath, dstPath st
 }
 
 // normalizeRootDate rewrites a function's root citation date to the merge
-// commit's time; see MergeBranches. A zero commit time leaves the function
-// untouched.
+// commit's time, to the second as Worktree.stampRoot does; see
+// MergeBranches. A zero commit time leaves the function untouched.
 func normalizeRootDate(fn *core.Function, opts vcs.CommitOptions) {
 	when := opts.Committer.When
 	if when.IsZero() {
@@ -262,13 +257,6 @@ func normalizeRootDate(fn *core.Function, opts vcs.CommitOptions) {
 		return
 	}
 	root := fn.Root()
-	root.CommittedDate = when.UTC()
+	root.CommittedDate = when.UTC().Truncate(time.Second)
 	_ = fn.Modify("/", root)
-}
-
-// objectBlob and fileEntry are tiny helpers keeping merge readable.
-func objectBlob(data []byte) *object.Blob { return object.NewBlob(data) }
-
-func fileEntry(id object.ID) object.TreeEntry {
-	return object.TreeEntry{Name: citefile.Filename, Mode: object.ModeFile, ID: id}
 }

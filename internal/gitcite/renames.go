@@ -42,7 +42,7 @@ func (wt *Worktree) SyncRenames(opts RenameDetection) ([]DetectedRename, error) 
 	if err != nil {
 		return nil, err
 	}
-	baseTree, err = dropCiteFile(wt.repo.VCS.Objects, baseTree)
+	baseTree, err = vcs.BuildTreeDelta(wt.repo.VCS.Objects, baseTree, nil, []string{citefile.Path})
 	if err != nil {
 		return nil, err
 	}

@@ -48,8 +48,9 @@ type Worktree struct {
 	removed map[string]bool
 	fn      *core.Function
 
-	// gen counts file-set mutations; dirIndex/dirIndexGen memoise the
-	// directory-set index the commit-time tree view queries.
+	// gen counts changes to the set of working paths (creations, removals,
+	// moves — not rewrites of an existing file); dirIndex/dirIndexGen
+	// memoise the directory-set index the commit-time tree view queries.
 	gen         uint64
 	dirIndex    map[string]bool
 	dirIndexGen uint64
@@ -171,11 +172,15 @@ func (wt *Worktree) Paths() []string {
 	return out
 }
 
-// markWritten records a path as created/modified since checkout.
-func (wt *Worktree) markWritten(path string) {
+// markWritten records a path as created/modified since checkout. created
+// says the path was not a working file before: only then can the directory
+// set have changed.
+func (wt *Worktree) markWritten(path string, created bool) {
 	wt.dirty[path] = true
 	delete(wt.removed, path)
-	wt.gen++
+	if created {
+		wt.gen++
+	}
 }
 
 // markRemoved records a path as deleted since checkout.
@@ -194,8 +199,9 @@ func (wt *Worktree) WriteFile(path string, data []byte) error {
 	if clean == citefile.Path {
 		return fmt.Errorf("gitcite: %s is system-managed and cannot be edited directly", citefile.Filename)
 	}
+	_, existed := wt.files[clean]
 	wt.files[clean] = &workFile{data: append([]byte(nil), data...)}
-	wt.markWritten(clean)
+	wt.markWritten(clean, !existed)
 	return nil
 }
 
@@ -257,7 +263,7 @@ func (wt *Worktree) Move(oldPath, newPath string) error {
 		wt.files[np] = wt.files[p]
 		delete(wt.files, p)
 		wt.markRemoved(p)
-		wt.markWritten(np)
+		wt.markWritten(np, true)
 	}
 	return wt.fn.Rename(oldClean, newClean)
 }
@@ -339,15 +345,27 @@ func (wt *Worktree) buildFileTree() (object.ID, error) {
 	return vcs.BuildTreeDelta(wt.repo.VCS.Objects, wt.baseTree, edits, removed)
 }
 
+// ErrStaleWorktree reports a Commit from a worktree whose branch moved since
+// it was checked out (or last committed): the new version would be built
+// from the old tip's files and citations yet name the new tip as its parent,
+// silently discarding whatever the versions in between changed. Check the
+// branch out again and redo the edits.
+var ErrStaleWorktree = errors.New("gitcite: worktree is stale: its branch moved since checkout")
+
 // Commit writes the working files plus the regenerated citation.cite as a
 // new version on the worktree's branch and re-bases the worktree onto it.
 // Before writing, entries for deleted paths are pruned and the function is
 // validated against the new tree, so every committed version satisfies the
-// model invariants.
+// model invariants. The branch must still be at the version the worktree
+// sits on; otherwise Commit fails with ErrStaleWorktree.
 //
-// The new tree is built incrementally: only the paths touched since
-// checkout (plus the regenerated citation.cite) re-hash, and subtrees the
-// delta does not reach reuse the base version's stored trees verbatim.
+// Cost follows the change, not the repository. The new tree is built
+// incrementally: only the paths touched since checkout (plus the
+// regenerated citation.cite) re-hash, and subtrees the delta does not reach
+// reuse the base version's stored trees verbatim. The citation file is
+// assembled from per-entry bytes memoised on the function's records: only
+// entries edited since the last version (and the re-dated root) are
+// marshalled.
 func (wt *Worktree) Commit(opts vcs.CommitOptions) (object.ID, error) {
 	wt.fn.Prune(wt.Tree())
 	wt.stampRoot(opts)
@@ -361,11 +379,14 @@ func (wt *Worktree) Commit(opts vcs.CommitOptions) (object.ID, error) {
 	edits, removed := wt.delta()
 	edits[citefile.Path] = vcs.TreeEdit{Data: data}
 
-	id, err := wt.repo.VCS.CommitDelta(wt.branch, wt.baseTree, edits, removed, opts)
+	newTree, err := vcs.BuildTreeDelta(wt.repo.VCS.Objects, wt.baseTree, edits, removed)
 	if err != nil {
 		return object.ZeroID, err
 	}
-	newTree, err := wt.repo.VCS.TreeOf(id)
+	id, err := wt.repo.VCS.CommitTreeOnTip(wt.branch, wt.base, newTree, opts)
+	if errors.Is(err, vcs.ErrTipMoved) {
+		return object.ZeroID, fmt.Errorf("%w (%s)", ErrStaleWorktree, wt.branch)
+	}
 	if err != nil {
 		return object.ZeroID, err
 	}
@@ -373,13 +394,17 @@ func (wt *Worktree) Commit(opts vcs.CommitOptions) (object.ID, error) {
 	wt.baseTree = newTree
 	wt.dirty = map[string]bool{}
 	wt.removed = map[string]bool{}
-	// Seed the repository's read cache by decoding the bytes just written,
-	// so the cached view is byte-identical to what a cold loadFunction
-	// would produce (the encoding normalises dates; the live wt.fn may
-	// hold sub-second precision the file cannot express). A decode failure
-	// only skips the seeding — readers fall back to loading on demand.
-	if fn, err := citefile.Decode(data); err == nil {
-		wt.repo.cacheFunction(id, fn)
+	// Seed the repository's read cache with exactly what a cold
+	// loadFunction would decode from the bytes just written (the encoding
+	// normalises dates; the live wt.fn may hold sub-second precision the
+	// file cannot express) — without decoding them: the canonical function
+	// is made of the records Encode just memoised. The working function is
+	// re-based onto it, so the worktree reads as the version it now sits
+	// on and shares its storage. A file that would not decode only skips
+	// the seeding — readers fall back to loading on demand.
+	if canon, ok := citefile.Canonical(wt.fn); ok {
+		wt.fn.Assign(canon)
+		wt.repo.cacheFunction(id, canon)
 	}
 	return id, nil
 }

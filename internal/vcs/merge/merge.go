@@ -97,165 +97,153 @@ type Result struct {
 //
 // "Version" includes absence, so add/add, modify/delete and delete/delete
 // cases all reduce to these rules.
+//
+// The rules are applied to tree entries before files: a name under which
+// all three trees hold the same entry is settled without looking inside
+// it, and the walk descends only where the sides differ. The result is
+// ours plus a delta (vcs.BuildTreeDelta), so subtrees neither the merge nor
+// a resolution touches are reused verbatim and no blob is read except to
+// concatenate a conflict. Cost follows what the three versions disagree on,
+// not the size of the trees.
 func Trees(s store.Store, base, ours, theirs object.ID, opts Options) (Result, error) {
-	bf, err := flatten(s, base)
-	if err != nil {
+	m := &merger{s: s, edits: map[string]vcs.TreeEdit{}}
+	if err := m.walk("", base, ours, theirs); err != nil {
 		return Result{}, err
 	}
-	of, err := flatten(s, ours)
-	if err != nil {
-		return Result{}, err
-	}
-	tf, err := flatten(s, theirs)
-	if err != nil {
-		return Result{}, err
-	}
-
-	paths := map[string]bool{}
-	for p := range bf {
-		paths[p] = true
-	}
-	for p := range of {
-		paths[p] = true
-	}
-	for p := range tf {
-		paths[p] = true
-	}
-
-	merged := map[string]vcs.FileContent{}
-	var conflicts []Conflict
-	var deleted []string
-
-	keep := func(p string, f vcs.TreeFile) error {
-		blob, err := store.GetBlob(s, f.BlobID)
-		if err != nil {
-			return err
+	// The walk visits "/a/b" before "/a.txt"; conflicts are reported, and
+	// the resolver asked, in path order.
+	sort.Slice(m.conflicts, func(i, j int) bool { return m.conflicts[i].Path < m.conflicts[j].Path })
+	res := Result{}
+	for _, c := range m.conflicts {
+		res.Conflicts = append(res.Conflicts, c.Conflict)
+		choice := ResolveOurs
+		if opts.Resolver != nil {
+			choice = opts.Resolver(c.Conflict)
 		}
-		merged[p] = vcs.FileContent{Data: blob.Data(), Mode: f.Mode}
-		return nil
-	}
-
-	for _, p := range vcs.SortedPaths(paths) {
-		b, inB := bf[p]
-		o, inO := of[p]
-		t, inT := tf[p]
-
-		same := func(x vcs.TreeFile, inX bool, y vcs.TreeFile, inY bool) bool {
-			if inX != inY {
-				return false
+		switch choice {
+		case ResolveOurs:
+			m.take(c.Path, c.ours, c.ours)
+		case ResolveTheirs:
+			m.take(c.Path, c.ours, c.theirs)
+		case ResolveConcat:
+			data, err := concatConflict(s, c.Conflict)
+			if err != nil {
+				return Result{}, err
 			}
-			if !inX {
-				return true
+			mode := c.ours.Mode
+			if mode == 0 {
+				mode = c.theirs.Mode
 			}
-			return x.BlobID == y.BlobID && x.Mode == y.Mode
-		}
-
-		switch {
-		case same(o, inO, t, inT): // both sides agree
-			if inO {
-				if err := keep(p, o); err != nil {
-					return Result{}, err
-				}
-			} else if inB {
-				deleted = append(deleted, p)
-			}
-		case same(o, inO, b, inB): // only theirs changed
-			if inT {
-				if err := keep(p, t); err != nil {
-					return Result{}, err
-				}
-			} else {
-				deleted = append(deleted, p)
-			}
-		case same(t, inT, b, inB): // only ours changed
-			if inO {
-				if err := keep(p, o); err != nil {
-					return Result{}, err
-				}
-			} else {
-				deleted = append(deleted, p)
-			}
-		default: // true conflict
-			c := Conflict{Path: p}
-			if inB {
-				c.BaseID = b.BlobID
-			}
-			if inO {
-				c.OursID = o.BlobID
-			}
-			if inT {
-				c.TheirsID = t.BlobID
-			}
-			switch {
-			case !inO || !inT:
-				c.Kind = ConflictModifyDelete
-			case !inB:
-				c.Kind = ConflictBothAdded
-			default:
-				c.Kind = ConflictBothModified
-			}
-			conflicts = append(conflicts, c)
-
-			res := ResolveOurs
-			if opts.Resolver != nil {
-				res = opts.Resolver(c)
-			}
-			switch res {
-			case ResolveOurs:
-				if inO {
-					if err := keep(p, o); err != nil {
-						return Result{}, err
-					}
-				} else {
-					deleted = append(deleted, p)
-				}
-			case ResolveTheirs:
-				if inT {
-					if err := keep(p, t); err != nil {
-						return Result{}, err
-					}
-				} else {
-					deleted = append(deleted, p)
-				}
-			case ResolveConcat:
-				data, err := concatConflict(s, c)
-				if err != nil {
-					return Result{}, err
-				}
-				mode := object.ModeFile
-				if inO {
-					mode = o.Mode
-				} else if inT {
-					mode = t.Mode
-				}
-				merged[p] = vcs.FileContent{Data: data, Mode: mode}
-			default:
-				return Result{}, fmt.Errorf("merge: unknown resolution %d for %q", res, p)
-			}
+			m.edits[c.Path] = vcs.TreeEdit{Data: data, Mode: mode}
+		default:
+			return Result{}, fmt.Errorf("merge: unknown resolution %d for %q", choice, c.Path)
 		}
 	}
-
-	treeID, err := vcs.BuildTree(s, merged)
-	if err != nil {
+	var err error
+	if res.TreeID, err = vcs.BuildTreeDelta(s, ours, m.edits, m.removed); err != nil {
 		return Result{}, err
 	}
-	sort.Strings(deleted)
-	return Result{TreeID: treeID, Conflicts: conflicts, DeletedPaths: deleted}, nil
+	sort.Strings(m.deleted)
+	res.DeletedPaths = m.deleted
+	return res, nil
 }
 
-func flatten(s store.Store, treeID object.ID) (map[string]vcs.TreeFile, error) {
-	out := map[string]vcs.TreeFile{}
-	if treeID.IsZero() {
-		return out, nil
+// merger accumulates the merge as a delta against ours.
+type merger struct {
+	s         store.Store
+	edits     map[string]vcs.TreeEdit
+	removed   []string // paths ours has and the merge drops
+	deleted   []string // Result.DeletedPaths, unsorted
+	conflicts []pendingConflict
+}
+
+// pendingConflict is a conflict awaiting its resolution, with each side's
+// file as a nameless tree entry (zero: the side has no file there).
+type pendingConflict struct {
+	Conflict
+	ours, theirs object.TreeEntry
+}
+
+// take settles path on the file version v (absence included), given that
+// ours holds o there.
+func (m *merger) take(path string, o, v object.TreeEntry) {
+	switch {
+	case v.Mode == 0:
+		m.deleted = append(m.deleted, path)
+		if o.Mode != 0 {
+			m.removed = append(m.removed, path)
+		}
+	case v != o:
+		m.edits[path] = vcs.TreeEdit{BlobID: v.ID, Mode: v.Mode}
 	}
-	files, err := vcs.FlattenTree(s, treeID)
-	if err != nil {
-		return nil, err
+}
+
+// walk merges one directory: the entries of the three trees (zero: none)
+// are visited together in name order. What a side holds under a name is a
+// file, a directory or nothing; files and directories are merged apart, as
+// the per-file rules see no directories (a file on one side and a directory
+// on another then clash when the tree is built, as they always did).
+func (m *merger) walk(dir string, b, o, t object.ID) error {
+	var lists [3][]object.TreeEntry
+	for i, id := range [3]object.ID{b, o, t} {
+		if !id.IsZero() {
+			tree, err := store.GetTree(m.s, id)
+			if err != nil {
+				return err
+			}
+			lists[i] = tree.Entries()
+		}
 	}
-	for _, f := range files {
-		out[f.Path] = f
+	for {
+		name := ""
+		for _, l := range lists {
+			if len(l) > 0 && (name == "" || l[0].Name < name) {
+				name = l[0].Name
+			}
+		}
+		if name == "" {
+			return nil
+		}
+		var file [3]object.TreeEntry // nameless; zero: no file under name
+		var sub [3]object.ID         // zero: no directory under name
+		for i, l := range lists {
+			if len(l) == 0 || l[0].Name != name {
+				continue
+			}
+			if lists[i] = l[1:]; l[0].IsDir() {
+				sub[i] = l[0].ID
+			} else {
+				file[i] = object.TreeEntry{Mode: l[0].Mode, ID: l[0].ID}
+			}
+		}
+		path := dir + "/" + name
+		// Descend where the sides differ; where they agree, only to list
+		// what both deleted from a base directory.
+		if sub[1] != sub[2] || (sub[0] != sub[1] && !sub[0].IsZero()) {
+			if err := m.walk(path, sub[0], sub[1], sub[2]); err != nil {
+				return err
+			}
+		}
+		switch fb, fo, ft := file[0], file[1], file[2]; {
+		case fo == ft: // both sides agree
+			if fo != fb {
+				m.take(path, fo, fo)
+			}
+		case fo == fb: // only theirs changed
+			m.take(path, fo, ft)
+		case ft == fb: // only ours changed
+			m.take(path, fo, fo)
+		default:
+			c := Conflict{Path: path, Kind: ConflictBothModified, BaseID: fb.ID, OursID: fo.ID, TheirsID: ft.ID}
+			switch {
+			case fo.Mode == 0 || ft.Mode == 0:
+				c.Kind = ConflictModifyDelete
+			case fb.Mode == 0:
+				c.Kind = ConflictBothAdded
+			}
+			m.conflicts = append(m.conflicts, pendingConflict{c, fo, ft})
+		}
 	}
-	return out, nil
 }
 
 func concatConflict(s store.Store, c Conflict) ([]byte, error) {

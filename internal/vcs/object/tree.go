@@ -68,17 +68,40 @@ func NewTree(entries []TreeEntry) (*Tree, error) {
 	copy(t.entries, entries)
 	sort.Slice(t.entries, func(i, j int) bool { return t.entries[i].Name < t.entries[j].Name })
 	for i, e := range t.entries {
-		if err := validateEntryName(e.Name); err != nil {
+		if err := e.Validate(); err != nil {
 			return nil, err
-		}
-		if !e.Mode.Valid() {
-			return nil, fmt.Errorf("object: entry %q: invalid mode %o", e.Name, uint32(e.Mode))
 		}
 		if i > 0 && t.entries[i-1].Name == e.Name {
 			return nil, fmt.Errorf("%w: %q", ErrDuplicateEntry, e.Name)
 		}
 	}
 	return t, nil
+}
+
+// NewTreeFromSorted creates a tree over entries that are already in name
+// order and already valid — the entries of a stored tree, merged with new
+// ones the caller checked with Validate. It takes ownership of the slice,
+// and verifies only the order (which also rules out duplicates): the cost
+// of rebuilding a directory is one pass, not a sort and a re-validation of
+// names the base tree validated when it was built.
+func NewTreeFromSorted(entries []TreeEntry) (*Tree, error) {
+	for i := 1; i < len(entries); i++ {
+		if entries[i-1].Name >= entries[i].Name {
+			return nil, fmt.Errorf("%w or out of order: %q", ErrDuplicateEntry, entries[i].Name)
+		}
+	}
+	return &Tree{entries: entries}, nil
+}
+
+// Validate checks the entry's name and mode.
+func (e TreeEntry) Validate() error {
+	if err := validateEntryName(e.Name); err != nil {
+		return err
+	}
+	if !e.Mode.Valid() {
+		return fmt.Errorf("object: entry %q: invalid mode %o", e.Name, uint32(e.Mode))
+	}
+	return nil
 }
 
 // EmptyTree returns a tree with no entries.

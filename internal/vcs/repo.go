@@ -209,15 +209,34 @@ func (r *Repository) CommitDelta(branch string, baseTree object.ID, edits map[st
 // CommitTreeOnBranch commits an already-built tree on the named branch,
 // using the branch tip (if any) as the parent and advancing the ref.
 func (r *Repository) CommitTreeOnBranch(branch string, treeID object.ID, opts CommitOptions) (object.ID, error) {
+	return r.commitOnTip(branch, treeID, opts, nil)
+}
+
+// ErrTipMoved reports that a branch no longer points where the caller last
+// saw it.
+var ErrTipMoved = errors.New("vcs: branch tip moved")
+
+// CommitTreeOnTip is CommitTreeOnBranch for a caller that built treeID
+// against the version it believes is the branch tip: it fails with
+// ErrTipMoved, committing nothing, unless the tip is expect (zero: the
+// branch is unborn). The check rides on the ref read that finds the parent.
+func (r *Repository) CommitTreeOnTip(branch string, expect, treeID object.ID, opts CommitOptions) (object.ID, error) {
+	return r.commitOnTip(branch, treeID, opts, &expect)
+}
+
+func (r *Repository) commitOnTip(branch string, treeID object.ID, opts CommitOptions, expect *object.ID) (object.ID, error) {
 	var parents []object.ID
 	tip, err := r.Refs.Get(refs.BranchRef(branch))
 	switch {
 	case err == nil:
 		parents = []object.ID{tip}
 	case errors.Is(err, refs.ErrNotFound):
-		// unborn branch: root commit
+		tip = object.ZeroID // unborn branch: root commit
 	default:
 		return object.ZeroID, err
+	}
+	if expect != nil && tip != *expect {
+		return object.ZeroID, fmt.Errorf("%w: %s", ErrTipMoved, branch)
 	}
 	id, err := r.CommitTree(treeID, parents, opts)
 	if err != nil {

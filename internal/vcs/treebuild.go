@@ -133,68 +133,95 @@ func BuildTreeDelta(s store.Store, base object.ID, edits map[string]TreeEdit, re
 		return id
 	}
 
-	// build rebuilds one dirty directory. It returns the directory's new
-	// tree ID, or ZeroID when the directory ends up empty (pruned by the
-	// caller). Unvisited base entries are carried over untouched.
+	// build rebuilds one dirty directory by merging the base tree's entries
+	// (sorted, and validated when that tree was built) with the directory's
+	// own sorted delta in one pass: base entries the delta does not name are
+	// carried over untouched, and only names the delta introduces are
+	// validated. It returns the directory's new tree ID, or ZeroID when the
+	// directory ends up empty (pruned by the caller).
 	var build func(n *deltaNode, baseID object.ID) (object.ID, error)
 	build = func(n *deltaNode, baseID object.ID) (object.ID, error) {
-		entries := map[string]object.TreeEntry{}
+		var base []object.TreeEntry
 		if !baseID.IsZero() {
 			baseTree, err := store.GetTree(s, baseID)
 			if err != nil {
 				return object.ZeroID, err
 			}
-			for _, e := range baseTree.Entries() {
-				entries[e.Name] = e
-			}
+			base = baseTree.Entries()
 		}
+		names := make([]string, 0, len(n.removes)+len(n.children)+len(n.edits))
 		for name := range n.removes {
-			delete(entries, name) // absent paths: removal is a no-op
+			names = append(names, name)
 		}
-		for name, child := range n.children {
-			childBase := object.ZeroID
-			if e, ok := entries[name]; ok && e.IsDir() {
-				childBase = e.ID
+		for name := range n.children {
+			names = append(names, name)
+		}
+		for name := range n.edits {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+
+		list := make([]object.TreeEntry, 0, len(base)+len(names))
+		for i, name := range names {
+			if i > 0 && names[i-1] == name {
+				continue // named by more than one of the three maps
 			}
-			subID, err := build(child, childBase)
-			if err != nil {
-				return object.ZeroID, err
+			for len(base) > 0 && base[0].Name < name {
+				list, base = append(list, base[0]), base[1:]
 			}
-			if subID.IsZero() {
-				// The subtree emptied out; prune it — but never a base
-				// file that merely shared the name with a no-op removal.
-				if e, ok := entries[name]; ok && e.IsDir() {
-					delete(entries, name)
+			// cur is the entry under this name as the delta's steps see it:
+			// removal first (of an absent name: a no-op), then the rebuilt
+			// subdirectory, then the file edit.
+			var cur object.TreeEntry
+			have := false
+			if len(base) > 0 && base[0].Name == name {
+				cur, have, base = base[0], !n.removes[name], base[1:]
+			}
+			if child := n.children[name]; child != nil {
+				childBase := object.ZeroID
+				if have && cur.IsDir() {
+					childBase = cur.ID
 				}
-				continue
+				subID, err := build(child, childBase)
+				switch {
+				case err != nil:
+					return object.ZeroID, err
+				case subID.IsZero():
+					// The subtree emptied out; prune it — but never a base
+					// file that merely shared the name with a no-op removal.
+					have = have && !cur.IsDir()
+				case have && !cur.IsDir():
+					return object.ZeroID, fmt.Errorf("%w: %q is both a file and a directory", ErrBadPath, name)
+				default:
+					cur, have = object.TreeEntry{Name: name, Mode: object.ModeDir, ID: subID}, true
+				}
 			}
-			if e, ok := entries[name]; ok && !e.IsDir() {
-				return object.ZeroID, fmt.Errorf("%w: %q is both a file and a directory", ErrBadPath, name)
+			if ed, ok := n.edits[name]; ok {
+				if have && cur.IsDir() {
+					return object.ZeroID, fmt.Errorf("%w: %q is both a file and a directory", ErrBadPath, name)
+				}
+				mode := ed.Mode
+				if mode == 0 {
+					mode = object.ModeFile
+				}
+				blobID := ed.BlobID
+				if blobID.IsZero() {
+					blobID = hash(object.NewBlob(ed.Data))
+				}
+				cur, have = object.TreeEntry{Name: name, Mode: mode, ID: blobID}, true
 			}
-			entries[name] = object.TreeEntry{Name: name, Mode: object.ModeDir, ID: subID}
+			if have {
+				if err := cur.Validate(); err != nil {
+					return object.ZeroID, err
+				}
+				list = append(list, cur)
+			}
 		}
-		for name, ed := range n.edits {
-			if e, ok := entries[name]; ok && e.IsDir() {
-				return object.ZeroID, fmt.Errorf("%w: %q is both a file and a directory", ErrBadPath, name)
-			}
-			mode := ed.Mode
-			if mode == 0 {
-				mode = object.ModeFile
-			}
-			blobID := ed.BlobID
-			if blobID.IsZero() {
-				blobID = hash(object.NewBlob(ed.Data))
-			}
-			entries[name] = object.TreeEntry{Name: name, Mode: mode, ID: blobID}
-		}
-		if len(entries) == 0 {
+		list = append(list, base...)
+		if len(list) == 0 {
 			return object.ZeroID, nil
 		}
-		list := make([]object.TreeEntry, 0, len(entries))
-		for _, e := range entries {
-			list = append(list, e)
-		}
-		tree, err := object.NewTree(list)
+		tree, err := object.NewTreeFromSorted(list)
 		if err != nil {
 			return object.ZeroID, err
 		}

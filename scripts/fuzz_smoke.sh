@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # fuzz_smoke.sh — runs every native Go fuzz target for a bounded
 # wall-clock slice, as a CI smoke pass over the crash-recovery and wire
-# parsers. The committed seed corpora under each package's testdata/fuzz
-# replay on every plain `go test` run already; this script additionally
+# parsers and the citation-entry codec memo. The committed seed corpora
+# under each package's testdata/fuzz replay on every plain `go test` run already; this script additionally
 # lets the mutation engine explore beyond the seeds for FUZZTIME per
 # target (default 10s, override via the FUZZTIME env var).
 #
@@ -21,6 +21,7 @@ targets=(
 	"FuzzSegmentReplay  ./internal/vcs/store"
 	"FuzzWireNDJSON     ./internal/hosting"
 	"FuzzManifestReplay ./internal/hosting"
+	"FuzzCiteEntryCanonical ./internal/citefile"
 )
 
 for t in "${targets[@]}"; do

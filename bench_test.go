@@ -843,6 +843,33 @@ func BenchmarkCiteFileDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkCiteFileDecodeShared is BenchmarkCiteFileDecode through a record
+// table that already holds every entry of the file — a function-cache miss
+// on a version whose entries earlier versions decoded. The difference from
+// the plain decode is what sharing records costs a miss.
+func BenchmarkCiteFileDecodeShared(b *testing.B) {
+	for _, n := range []int{100, 1000} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			fn, tree := workload.FunctionWithEntries(n)
+			data, err := citefile.Encode(fn, tree.IsDir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var table core.RecordTable
+			if _, err := citefile.DecodeShared(data, &table); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := citefile.DecodeShared(data, &table); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // ---- ForkCite ----
 
 func BenchmarkForkCite(b *testing.B) {

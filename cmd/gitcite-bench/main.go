@@ -28,6 +28,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -280,6 +281,14 @@ type countingStore struct {
 func (c *countingStore) Get(id object.ID) (object.Object, error) {
 	c.gets.Add(1)
 	return c.Store.Get(id)
+}
+
+// Close closes the wrapped store when it holds resources (a pack store).
+func (c *countingStore) Close() error {
+	if cl, ok := c.Store.(io.Closer); ok {
+		return cl.Close()
+	}
+	return nil
 }
 
 func (c *countingStore) Put(o object.Object) (object.ID, error) {
@@ -994,6 +1003,98 @@ func runCounters() error {
 		}
 	}
 	emit("open_repos_after_10k_requests", int64(lruPlat.OpenRepoCount()))
+
+	// --- backend reads per reopened cite ---
+	// A platform that keeps one repository open serves a cite of A at a
+	// version, then of B, then of A at the same version again. The third
+	// request reopens A with a cold object cache; the platform's function
+	// cache still holds the version's decoded citation.cite under its root
+	// tree, so the only read that reaches the pack is the commit's — the
+	// read that proves the version is A's.
+	reopenDir, err := os.MkdirTemp("", "gitcite-counters-reopen-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(reopenDir)
+	var reopenMu sync.Mutex
+	reopened := map[string]*countingStore{} // the latest open of each repository
+	reopenPlat, err := hosting.OpenPlatform(reopenDir, hosting.WithOpenRepoLimit(1),
+		hosting.WithRepoFactory(func(meta gitcite.Meta) (*gitcite.Repo, error) {
+			root := filepath.Join(reopenDir, meta.Owner, meta.Name)
+			pack, err := store.NewPackStore(filepath.Join(root, "objects"))
+			if err != nil {
+				return nil, err
+			}
+			rs, err := refs.NewFileStore(root)
+			if err != nil {
+				pack.Close()
+				return nil, err
+			}
+			below := &countingStore{Store: pack}
+			reopenMu.Lock()
+			reopened[meta.Name] = below
+			reopenMu.Unlock()
+			return &gitcite.Repo{VCS: &vcs.Repository{Objects: store.NewCachedStore(below, 4096), Refs: rs}, Meta: meta}, nil
+		}))
+	if err != nil {
+		return err
+	}
+	defer reopenPlat.Close()
+	reopenUser, err := reopenPlat.CreateUser(context.Background(), "bench")
+	if err != nil {
+		return err
+	}
+	reopenTips := map[string]object.ID{}
+	for _, name := range []string{"a", "b"} {
+		if _, err := reopenPlat.CreateRepoAs(context.Background(), reopenUser, name, "https://x/"+name, "MIT"); err != nil {
+			return err
+		}
+		hostedRepo, release, err := reopenPlat.AcquireForWrite(context.Background(), reopenUser, "bench", name)
+		if err != nil {
+			return err
+		}
+		hwt, err := hostedRepo.Checkout("main")
+		if err == nil {
+			err = hwt.WriteFile("/pkg/f.txt", []byte(name))
+		}
+		if err == nil {
+			err = hwt.AddCite("/pkg", core.Citation{Owner: "up", RepoName: name, URL: "https://x/up", Version: "1"})
+		}
+		if err == nil {
+			reopenTips[name], err = hwt.Commit(opts)
+		}
+		release()
+		if err != nil {
+			return err
+		}
+	}
+	reopenSrv := httptest.NewServer(hosting.NewServer(reopenPlat))
+	defer reopenSrv.Close()
+	var firstOpen *countingStore
+	for i, name := range []string{"a", "b", "a"} {
+		r, err := http.Get(fmt.Sprintf("%s/api/v1/repos/bench/%s/cite/%s?path=/pkg/f.txt", reopenSrv.URL, name, reopenTips[name]))
+		if err != nil {
+			return err
+		}
+		io.Copy(io.Discard, r.Body)
+		r.Body.Close()
+		if r.StatusCode != http.StatusOK {
+			return fmt.Errorf("reopened cite %s: status %d", name, r.StatusCode)
+		}
+		reopenMu.Lock()
+		latest := reopened["a"]
+		reopenMu.Unlock()
+		switch {
+		case i == 0:
+			firstOpen = latest
+		case i == 2 && latest == firstOpen:
+			return fmt.Errorf("reopened cite: the one-handle platform did not reopen a")
+		case i == 2:
+			// The third request's handle is a fresh open: every read it
+			// counted is that request's.
+			emit("backend_gets_per_reopened_cite", latest.gets.Load())
+		}
+	}
 
 	if *outPath != "" {
 		err := load.UpdateBenchFile(*outPath, *prNum, *forceOut, func(f *load.BenchFile) {

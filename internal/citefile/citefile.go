@@ -193,7 +193,24 @@ func Canonical(f *core.Function) (canon *core.Function, ok bool) {
 // Decode parses a citation file back into a citation function. Keys are
 // canonicalised (trailing slashes stripped); the file must contain a root
 // entry with the paper's required basic fields.
-func Decode(data []byte) (*core.Function, error) {
+func Decode(data []byte) (*core.Function, error) { return DecodeShared(data, nil) }
+
+// DecodeShared is Decode whose result shares records with every function
+// decoded through the same table: after the one-pass parse, each entry's
+// record is swapped for an identical one the table already holds (see
+// core.RecordTable). The function reads exactly as Decode's would; a
+// decoder that keeps many versions resident stores each distinct entry
+// once. A nil table is plain Decode.
+func DecodeShared(data []byte, t *core.RecordTable) (*core.Function, error) {
+	f, err := decode(data)
+	if err != nil || t == nil {
+		return f, err
+	}
+	t.Intern(f)
+	return f, nil
+}
+
+func decode(data []byte) (*core.Function, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	var raw map[string]entryJSON
 	if err := dec.Decode(&raw); err != nil {

@@ -22,7 +22,7 @@ func rootCitation() core.Citation {
 	}
 }
 
-func demoFunction(t *testing.T) (*core.Function, *core.PathSet) {
+func demoFunction(t testing.TB) (*core.Function, *core.PathSet) {
 	t.Helper()
 	tree := core.MustPathSet(
 		"/CoreCover/rewrite.py",

@@ -41,6 +41,64 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	seed("duplicate-extra-keys", `{"extra":{"a":"1","a":"2"}}`, 0, 0, false, "")
 }
 
+// FuzzDecodeShared holds record sharing to the codec: a decode through a
+// record table reads exactly as plain Decode — the same keys, the same
+// errors, every entry's citation reflect.DeepEqual — and a record is shared
+// only between entries whose plain decodes are DeepEqual. Two files decode
+// through one table, then both again across a generation rotation; the
+// second decode of a file holds the first one's records.
+func FuzzDecodeShared(f *testing.F) {
+	fn, tree := demoFunction(f)
+	listing, err := Encode(fn, tree.IsDir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	edited := bytes.Replace(listing, []byte("Yanssie"), []byte("Yanssie Chen"), 1)
+	f.Add(listing, edited)
+	f.Add([]byte(`{"/":{"owner":"o","repoName":"r","url":"u","version":"1"},"/a":{"owner":"x","authorList":[]},"/b":{"owner":"x"},"/c":{"owner":"x","extra":{}}}`),
+		[]byte(`{"/":{"owner":"o","repoName":"r","url":"u","version":"1","authorList":[]},"/a/":{"owner":"x"},"/b":{"owner":"x","committedDate":"2020-01-01T00:00:00+01:00"}}`))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var table core.RecordTable
+		decoded := make([][]core.PathRecord, 4)
+		seen := map[*core.Record]core.Citation{}
+		for i, data := range [][]byte{a, b, a, b} {
+			if i == 2 {
+				table.Rotate()
+			}
+			got, err := DecodeShared(data, &table)
+			want, wantErr := Decode(data)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("decode %d: shared error %v, plain error %v", i, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			gr, wr := got.Records(), want.Records()
+			if len(gr) != len(wr) {
+				t.Fatalf("decode %d: %d entries, plain decode %d", i, len(gr), len(wr))
+			}
+			for k := range gr {
+				plain := wr[k].Record.Citation()
+				if gr[k].Path != wr[k].Path || !reflect.DeepEqual(gr[k].Record.Citation(), plain) {
+					t.Fatalf("decode %d: %s = %+v, plain decode %s = %+v", i, gr[k].Path, gr[k].Record.Citation(), wr[k].Path, plain)
+				}
+				if prev, ok := seen[gr[k].Record]; ok && !reflect.DeepEqual(prev, plain) {
+					t.Fatalf("decode %d: one record shared by unequal entries %+v and %+v", i, prev, plain)
+				}
+				seen[gr[k].Record] = plain
+			}
+			decoded[i] = gr
+		}
+		for i := 0; i < 2; i++ {
+			for k, pr := range decoded[i+2] {
+				if pr.Record != decoded[i][k].Record {
+					t.Fatalf("file %d decoded again does not hold its first decode's record for %s", i, pr.Path)
+				}
+			}
+		}
+	})
+}
+
 // FuzzCiteEntryCanonical holds the per-record memo to the codec it
 // shortcuts. For any citation — built from an arbitrary wire entry, with its
 // date pushed off the canonical form by nanoseconds and a zone — the

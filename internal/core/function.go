@@ -52,10 +52,12 @@ type Function struct {
 	chain map[string][]PathCitation
 }
 
-// resolved is one memoised resolution: the citation and the active-domain
-// path that supplied it.
+// resolved is one memoised resolution: the record whose citation answers,
+// and the active-domain path that supplied it. The memo points at the
+// immutable record instead of copying its citation, so a warm index costs a
+// pointer per path, however many versions a cache holds warm.
 type resolved struct {
-	cite Citation
+	rec  *Record
 	from string
 }
 
@@ -330,13 +332,13 @@ func (f *Function) Resolve(path string) (Citation, string, error) {
 	f.mu.RLock()
 	if r, ok := f.idx[clean]; ok {
 		f.mu.RUnlock()
-		return r.cite, r.from, nil
+		return r.rec.cite, r.from, nil
 	}
 	gen := f.gen
 	var hit resolved
 	for p := clean; ; p = vcs.ParentPath(p) {
 		if r, ok := f.entries[p]; ok {
-			hit = resolved{cite: r.cite, from: p}
+			hit = resolved{rec: r, from: p}
 			break
 		}
 		if p == "/" {
@@ -357,7 +359,7 @@ func (f *Function) Resolve(path string) (Citation, string, error) {
 		f.idx[clean] = hit
 	}
 	f.mu.Unlock()
-	return hit.cite, hit.from, nil
+	return hit.rec.cite, hit.from, nil
 }
 
 // ResolveKey is Resolve for an interned path (see PathTable): the same
@@ -371,20 +373,18 @@ func (f *Function) ResolveKey(k *PathKey) (Citation, string, error) {
 	f.mu.RLock()
 	if r, ok := f.kidx[k]; ok {
 		f.mu.RUnlock()
-		return r.cite, r.from, nil
+		return r.rec.cite, r.from, nil
 	}
 	gen := f.gen
 	var hit resolved
-	found := false
 	for a := k; a != nil; a = a.parent {
 		if r, ok := f.entries[a.clean]; ok {
-			hit = resolved{cite: r.cite, from: a.clean}
-			found = true
+			hit = resolved{rec: r, from: a.clean}
 			break
 		}
 	}
 	f.mu.RUnlock()
-	if !found {
+	if hit.rec == nil {
 		// Unreachable for well-formed functions (the chain ends at "/",
 		// which always has an entry); guard anyway.
 		return Citation{}, "", ErrRootRequired
@@ -400,7 +400,7 @@ func (f *Function) ResolveKey(k *PathKey) (Citation, string, error) {
 		f.kidx[k] = hit
 	}
 	f.mu.Unlock()
-	return hit.cite, hit.from, nil
+	return hit.rec.cite, hit.from, nil
 }
 
 // ResolveChain implements the alternative semantics the paper mentions

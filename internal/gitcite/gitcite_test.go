@@ -3,11 +3,16 @@ package gitcite
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/gitcite/gitcite/internal/citefile"
 	"github.com/gitcite/gitcite/internal/core"
 	"github.com/gitcite/gitcite/internal/vcs"
+	"github.com/gitcite/gitcite/internal/vcs/object"
+	"github.com/gitcite/gitcite/internal/vcs/refs"
+	"github.com/gitcite/gitcite/internal/vcs/store"
 )
 
 func testMeta() Meta {
@@ -331,6 +336,104 @@ func TestFunctionAtNonEnabled(t *testing.T) {
 	}
 	if !r.IsCitationEnabled(c2) {
 		t.Error("commit after checkout not enabled")
+	}
+}
+
+// failingStore fails Get of the objects in fail, as a store with an I/O
+// error or a corrupt record does.
+type failingStore struct {
+	store.Store
+	mu   sync.Mutex
+	fail map[object.ID]bool
+}
+
+var errInjectedRead = errors.New("injected read failure")
+
+func (s *failingStore) Get(id object.ID) (object.Object, error) {
+	s.mu.Lock()
+	fail := s.fail[id]
+	s.mu.Unlock()
+	if fail {
+		return nil, errInjectedRead
+	}
+	return s.Store.Get(id)
+}
+
+func (s *failingStore) failGets(ids ...object.ID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.fail = map[object.ID]bool{}
+	for _, id := range ids {
+		s.fail[id] = true
+	}
+}
+
+// TestCiteFileReadErrorKeepsCitations: a store that cannot read a version's
+// citation.cite is a failed read, not a version without citations. Were it
+// taken for one, Checkout would start from a default function and the next
+// commit would write a version with every citation gone.
+func TestCiteFileReadErrorKeepsCitations(t *testing.T) {
+	objects := &failingStore{Store: store.NewMemoryStore()}
+	r := &Repo{VCS: &vcs.Repository{Objects: objects, Refs: refs.NewMemoryStore()}, Meta: testMeta()}
+	wt, _ := r.Checkout("main")
+	if err := wt.WriteFile("/lib/a.go", []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := wt.AddCite("/lib", cite("upstream")); err != nil {
+		t.Fatal(err)
+	}
+	c1, err := wt.Commit(opts("a", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, _ := r.VCS.TreeOf(c1)
+	entry, err := vcs.LookupPath(objects, tree, citefile.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, failing := range []object.ID{entry.ID, tree} {
+		dropCachedFunctions(r)
+		objects.failGets(failing)
+		if _, err := r.ResolvedFunctionAt(c1); !errors.Is(err, errInjectedRead) || errors.Is(err, ErrNotCitationEnabled) {
+			t.Errorf("ResolvedFunctionAt with an unreadable object: %v, want the read error", err)
+		}
+		if _, _, err := r.Generate(c1, "/lib/a.go"); !errors.Is(err, errInjectedRead) {
+			t.Errorf("Generate with an unreadable object: %v, want the read error", err)
+		}
+		if _, err := r.Checkout("main"); !errors.Is(err, errInjectedRead) {
+			t.Errorf("Checkout with an unreadable object: %v, want the read error", err)
+		}
+		if _, err := r.CiteFileBytes(c1); !errors.Is(err, errInjectedRead) {
+			t.Errorf("CiteFileBytes with an unreadable object: %v, want the read error", err)
+		}
+	}
+
+	// Once the store reads again, the next version still carries /lib's
+	// citation.
+	objects.failGets()
+	wt, err = r.Checkout("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wt.WriteFile("/lib/b.go", []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := wt.Commit(opts("a", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, from, err := r.Generate(c2, "/lib/b.go"); err != nil || from != "/lib" || c.Owner != "upstream" {
+		t.Errorf("c2 /lib/b.go: %v from %q (%v), want upstream's citation from /lib", c, from, err)
+	}
+
+	// A directory where citation.cite belongs is a version without one.
+	c3, err := r.VCS.CommitFiles("odd", map[string]vcs.FileContent{citefile.Path + "/x": vcs.File("x")}, opts("b", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.FunctionAt(c3); !errors.Is(err, ErrNotCitationEnabled) {
+		t.Errorf("citation.cite as a directory: %v, want ErrNotCitationEnabled", err)
 	}
 }
 

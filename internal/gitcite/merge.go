@@ -1,6 +1,7 @@
 package gitcite
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -129,13 +130,19 @@ func (r *Repo) MergeBranches(dstBranch, srcBranch string, opts MergeOptions) (Me
 	if citeOpts.Base != nil {
 		normalizeRootDate(citeOpts.Base, opts.Commit)
 	}
-	if citeOpts.Base == nil && !baseID.IsZero() && r.IsCitationEnabled(baseID) {
-		baseFn, err := r.FunctionAt(baseID)
-		if err != nil {
+	if citeOpts.Base == nil && !baseID.IsZero() {
+		// A base without citations merges as no base; a base the store
+		// cannot read fails the merge.
+		baseFn, err := r.functionOf(baseTree)
+		switch {
+		case errors.Is(err, ErrNotCitationEnabled):
+		case err != nil:
 			return MergeResult{}, err
+		default:
+			baseFn = baseFn.Clone()
+			normalizeRootDate(baseFn, opts.Commit)
+			citeOpts.Base = baseFn
 		}
-		normalizeRootDate(baseFn, opts.Commit)
-		citeOpts.Base = baseFn
 	}
 	mergedTree := treeAdapter{objects: r.VCS.Objects, treeID: fileRes.TreeID}
 	citeRes, err := core.Merge(ours, theirs, mergedTree, citeOpts)
@@ -165,7 +172,7 @@ func (r *Repo) MergeBranches(dstBranch, srcBranch string, opts MergeOptions) (Me
 	// Seed the read cache as Worktree.Commit does: the merge commit's first
 	// reader finds what decoding the stored file would give it.
 	if canon, ok := citefile.Canonical(citeRes.Function); ok {
-		r.cacheFunction(commitID, canon)
+		r.functionCache().seed(finalTree, canon)
 	}
 	return MergeResult{
 		CommitID:        commitID,

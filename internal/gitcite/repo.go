@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,19 +45,6 @@ func (m Meta) Validate() error {
 	return nil
 }
 
-// fnCacheCap bounds the number of per-commit citation functions a Repo
-// keeps decoded in memory. Committed versions are immutable, so cached
-// functions never go stale; the cap is purely a memory bound.
-const fnCacheCap = 512
-
-// fnCacheEntry is one slot of the per-commit function cache. used carries
-// the entry's last-touched tick: hits bump it with one atomic store, so
-// recency tracking costs readers no exclusive lock.
-type fnCacheEntry struct {
-	fn   *core.Function
-	used atomic.Int64
-}
-
 // Repo is a citation-enabled repository: a vcs repository whose versions
 // each carry a citation.cite file. It is safe for concurrent use: read
 // operations (Generate, GenerateChain, ResolvedFunctionAt, TreeAt) may run
@@ -67,18 +53,11 @@ type Repo struct {
 	VCS  *vcs.Repository
 	Meta Meta
 
-	// The per-commit function cache is a true LRU: every reader of the
-	// same version shares one Function — and therefore one warm resolution
-	// index — and at capacity the least-recently-used version is evicted,
-	// so a long-history hosted repository keeps its hot tips resident
-	// instead of losing an arbitrary entry. Recency lives in per-entry
-	// atomic ticks rather than a linked list, keeping the hit path under
-	// the shared read lock (the concurrent-scale property the read-path
-	// work established); the O(cap) victim scan runs only on the rare
-	// at-capacity insert.
-	fnMu    sync.RWMutex
-	fnTick  atomic.Int64
-	fnCache map[object.ID]*fnCacheEntry
+	// functions is the decoded-function cache (see FunctionCache): every
+	// reader of a version shares one Function — and therefore one warm
+	// resolution index. Set by ShareFunctionCache, else created on first
+	// use, so a Repo built as a struct literal works too.
+	functions atomic.Pointer[FunctionCache]
 
 	// paths interns this repository's tree paths (core.PathTable): readers
 	// that resolve the same paths across many versions — credit reports,
@@ -91,6 +70,24 @@ type Repo struct {
 // Paths returns the repository's interned path table, for read paths that
 // resolve via core.Function.ResolveKey.
 func (r *Repo) Paths() *core.PathTable { return &r.paths }
+
+// ShareFunctionCache makes the repository read and seed decoded citation
+// functions through c, which other repositories may share: entries are keyed
+// by root tree, so a version decoded through any of them serves them all. A
+// hosting platform shares one cache among every repository it opens, which
+// is what lets a repository closed by the open-handle LRU come back with its
+// versions decoded.
+func (r *Repo) ShareFunctionCache(c *FunctionCache) { r.functions.Store(c) }
+
+// functionCache returns the repository's function cache, creating a private
+// one on first use.
+func (r *Repo) functionCache() *FunctionCache {
+	if c := r.functions.Load(); c != nil {
+		return c
+	}
+	r.functions.CompareAndSwap(nil, new(FunctionCache))
+	return r.functions.Load()
+}
 
 // NewMemoryRepo creates an empty citation-enabled repository in memory.
 func NewMemoryRepo(meta Meta) (*Repo, error) {
@@ -218,81 +215,61 @@ func (r *Repo) FunctionAt(commitID object.ID) (*core.Function, error) {
 }
 
 // ResolvedFunctionAt returns the shared, read-only citation function of a
-// committed version. All readers of the same commit get the same Function
+// committed version. All readers of the same version get the same Function
 // instance, so its lazily-built resolution index warms once and serves
 // every subsequent Resolve as an O(1) hit. Callers must not mutate it —
 // use FunctionAt for a mutable snapshot.
+//
+// Reading the commit is the only store access on a cache hit; it is also
+// what confirms the version exists in this repository before a cache that
+// other repositories fill answers for it.
 func (r *Repo) ResolvedFunctionAt(commitID object.ID) (*core.Function, error) {
-	r.fnMu.RLock()
-	e := r.fnCache[commitID]
-	r.fnMu.RUnlock()
-	if e != nil {
-		e.used.Store(r.fnTick.Add(1))
-		return e.fn, nil
-	}
-	fn, err := r.loadFunction(commitID)
-	if err != nil {
-		return nil, err
-	}
-	r.fnMu.Lock()
-	if cur, ok := r.fnCache[commitID]; ok {
-		// A concurrent loader won; share its instance (and its index).
-		cur.used.Store(r.fnTick.Add(1))
-		fn = cur.fn
-	} else {
-		r.putFunctionLocked(commitID, fn)
-	}
-	r.fnMu.Unlock()
-	return fn, nil
-}
-
-// putFunctionLocked inserts into the per-commit cache, evicting the entry
-// with the oldest recency tick at capacity (victims reload on demand).
-// Caller holds fnMu exclusively.
-func (r *Repo) putFunctionLocked(commitID object.ID, fn *core.Function) {
-	if r.fnCache == nil {
-		r.fnCache = make(map[object.ID]*fnCacheEntry, fnCacheCap)
-	}
-	if len(r.fnCache) >= fnCacheCap {
-		var victim object.ID
-		oldest := int64(1<<63 - 1)
-		for id, e := range r.fnCache {
-			if u := e.used.Load(); u < oldest {
-				oldest, victim = u, id
-			}
-		}
-		delete(r.fnCache, victim)
-	}
-	e := &fnCacheEntry{fn: fn}
-	e.used.Store(r.fnTick.Add(1))
-	r.fnCache[commitID] = e
-}
-
-// cacheFunction seeds the per-commit cache with the function a worktree
-// just committed, so the version's first reader skips the citation.cite
-// decode.
-func (r *Repo) cacheFunction(commitID object.ID, fn *core.Function) {
-	r.fnMu.Lock()
-	defer r.fnMu.Unlock()
-	if e, ok := r.fnCache[commitID]; ok {
-		e.used.Store(r.fnTick.Add(1))
-		return
-	}
-	r.putFunctionLocked(commitID, fn)
-}
-
-// loadFunction reads and decodes a commit's citation.cite from the object
-// store.
-func (r *Repo) loadFunction(commitID object.ID) (*core.Function, error) {
 	treeID, err := r.VCS.TreeOf(commitID)
 	if err != nil {
 		return nil, err
 	}
-	data, err := vcs.ReadFile(r.VCS.Objects, treeID, citefile.Path)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotCitationEnabled, err)
+	return r.functionOf(treeID)
+}
+
+// functionOf returns the shared function of the citation.cite in a root
+// tree, decoding it on a cache miss.
+func (r *Repo) functionOf(treeID object.ID) (*core.Function, error) {
+	c := r.functionCache()
+	if fn := c.get(treeID); fn != nil {
+		return fn, nil
 	}
-	return citefile.Decode(data)
+	data, err := r.citeFileOf(treeID)
+	if err != nil {
+		return nil, err
+	}
+	fn, err := citefile.DecodeShared(data, &c.records)
+	if err != nil {
+		return nil, err
+	}
+	return c.add(treeID, fn), nil
+}
+
+// citeFileOf reads the citation.cite of a root tree. Only a tree that has
+// none — nothing at the path, or a directory there — is
+// ErrNotCitationEnabled. A store that fails to read the tree or the blob
+// fails the call: taken for a version without citations, a read error would
+// have a worktree start from a default function and commit a version with
+// every citation gone.
+func (r *Repo) citeFileOf(treeID object.ID) ([]byte, error) {
+	e, err := vcs.LookupPath(r.VCS.Objects, treeID, citefile.Path)
+	switch {
+	case errors.Is(err, vcs.ErrPathNotFound):
+		return nil, fmt.Errorf("%w: %v", ErrNotCitationEnabled, err)
+	case err != nil:
+		return nil, err
+	case e.IsDir():
+		return nil, fmt.Errorf("%w: %s is a directory", ErrNotCitationEnabled, citefile.Path)
+	}
+	blob, err := store.GetBlob(r.VCS.Objects, e.ID)
+	if err != nil {
+		return nil, err
+	}
+	return blob.Data(), nil
 }
 
 // IsCitationEnabled reports whether the commit carries a citation file.
@@ -310,7 +287,11 @@ func (r *Repo) IsCitationEnabled(commitID object.ID) bool {
 // default — fill in the cited version's own commit ID and date, so the
 // generated citation names the exact version being extracted.
 func (r *Repo) Generate(commitID object.ID, path string) (core.Citation, string, error) {
-	fn, err := r.ResolvedFunctionAt(commitID)
+	c, err := r.VCS.Commit(commitID)
+	if err != nil {
+		return core.Citation{}, "", err
+	}
+	fn, err := r.functionOf(c.TreeID)
 	if err != nil {
 		return core.Citation{}, "", err
 	}
@@ -321,10 +302,6 @@ func (r *Repo) Generate(commitID object.ID, path string) (core.Citation, string,
 		return core.Citation{}, "", err
 	}
 	if from == "/" {
-		c, err := r.VCS.Commit(commitID)
-		if err != nil {
-			return core.Citation{}, "", err
-		}
 		if cite.CommitID == "" {
 			cite.CommitID = commitID.Short()
 		}
@@ -350,7 +327,7 @@ func (r *Repo) CiteFileBytes(commitID object.ID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return vcs.ReadFile(r.VCS.Objects, treeID, citefile.Path)
+	return r.citeFileOf(treeID)
 }
 
 // Fork implements ForkCite (paper §3): "copies a version of a repository,
@@ -366,7 +343,10 @@ func Fork(src *Repo, newMeta Meta) (*Repo, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Repo{VCS: forked, Meta: newMeta}, nil
+	// The fork holds the same versions, so it reads through the same cache.
+	r := &Repo{VCS: forked, Meta: newMeta}
+	r.ShareFunctionCache(src.functionCache())
+	return r, nil
 }
 
 // ForkInto is Fork with the destination's backing storage chosen by the

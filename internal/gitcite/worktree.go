@@ -102,14 +102,16 @@ func (r *Repo) Checkout(branch string) (*Worktree, error) {
 		wt.files[f.Path] = &workFile{mode: f.Mode, blobID: f.BlobID}
 	}
 
-	fn, err := r.FunctionAt(tip)
-	if errors.Is(err, ErrNotCitationEnabled) {
-		fn, err = core.NewFunction(r.DefaultRootCitation(nil, time.Time{}))
+	fn, err := r.functionOf(treeID)
+	switch {
+	case errors.Is(err, ErrNotCitationEnabled):
+		wt.fn, err = core.NewFunction(r.DefaultRootCitation(nil, time.Time{}))
+	case err == nil:
+		wt.fn = fn.Clone()
 	}
 	if err != nil {
 		return nil, err
 	}
-	wt.fn = fn
 	return wt, nil
 }
 
@@ -394,17 +396,18 @@ func (wt *Worktree) Commit(opts vcs.CommitOptions) (object.ID, error) {
 	wt.baseTree = newTree
 	wt.dirty = map[string]bool{}
 	wt.removed = map[string]bool{}
-	// Seed the repository's read cache with exactly what a cold
-	// loadFunction would decode from the bytes just written (the encoding
-	// normalises dates; the live wt.fn may hold sub-second precision the
-	// file cannot express) — without decoding them: the canonical function
-	// is made of the records Encode just memoised. The working function is
-	// re-based onto it, so the worktree reads as the version it now sits
-	// on and shares its storage. A file that would not decode only skips
-	// the seeding — readers fall back to loading on demand.
+	// Seed the repository's read cache, under the tree just built, with
+	// exactly what a cold load would decode from the bytes just written
+	// (the encoding normalises dates; the live wt.fn may hold sub-second
+	// precision the file cannot express) — without decoding them: the
+	// canonical function is made of the records Encode just memoised. The
+	// working function is re-based onto it, so the worktree reads as the
+	// version it now sits on and shares its storage. A file that would not
+	// decode only skips the seeding — readers fall back to loading on
+	// demand.
 	if canon, ok := citefile.Canonical(wt.fn); ok {
 		wt.fn.Assign(canon)
-		wt.repo.cacheFunction(id, canon)
+		wt.repo.functionCache().seed(newTree, canon)
 	}
 	return id, nil
 }

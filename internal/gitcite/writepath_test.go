@@ -127,10 +127,8 @@ func TestWriteFileOverExistingKeepsDirIndex(t *testing.T) {
 // the version from scratch gives.
 func versionCheck(t *testing.T, r *Repo, id object.ID, label string) *core.Function {
 	t.Helper()
-	r.fnMu.RLock()
-	entry := r.fnCache[id]
-	r.fnMu.RUnlock()
-	if entry == nil {
+	cached := cachedFunction(t, r, id)
+	if cached == nil {
 		t.Fatalf("%s: version %s was not seeded into the function cache", label, id.Short())
 	}
 	data, err := r.CiteFileBytes(id)
@@ -141,7 +139,7 @@ func versionCheck(t *testing.T, r *Repo, id object.ID, label string) *core.Funct
 	if err != nil {
 		t.Fatalf("%s: stored citation.cite does not decode: %v", label, err)
 	}
-	if got, want := entry.fn.ActiveDomain(), decoded.ActiveDomain(); !reflect.DeepEqual(got, want) {
+	if got, want := cached.ActiveDomain(), decoded.ActiveDomain(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: cached function is not Decode of the stored file\n got %+v\nwant %+v", label, got, want)
 	}
 	tree, err := r.TreeAt(id)
@@ -164,7 +162,7 @@ func versionCheck(t *testing.T, r *Repo, id object.ID, label string) *core.Funct
 	if scratch, err := vcs.BuildTree(store.NewMemoryStore(), files); err != nil || scratch != treeID {
 		t.Fatalf("%s: tree %s is not the from-scratch build %s of its files (%v)", label, treeID.Short(), scratch.Short(), err)
 	}
-	return entry.fn
+	return cached
 }
 
 // awkward draws a citation off its canonical form: nanoseconds, a zone, an
@@ -528,9 +526,7 @@ func TestCachedFunctionReadersRaceCommit(t *testing.T) {
 	}
 	// Drop the seeded function: the one readers share is then a cold decode
 	// whose records carry no bytes until a writer's Encode fills them in.
-	r.fnMu.Lock()
-	delete(r.fnCache, base)
-	r.fnMu.Unlock()
+	dropCachedFunctions(r)
 	shared, err := r.ResolvedFunctionAt(base)
 	if err != nil {
 		t.Fatal(err)

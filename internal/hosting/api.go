@@ -641,8 +641,11 @@ func (s *Server) handleCiteFile(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	data, err := repo.CiteFileBytes(commit)
+	if errors.Is(err, gitcite.ErrNotCitationEnabled) {
+		err = fmt.Errorf("%w: citation.cite", ErrNotFound)
+	}
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: citation.cite", ErrNotFound))
+		writeErr(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -119,6 +119,10 @@ type Platform struct {
 	// installs a pack-backed factory rooted at the data directory.
 	newRepo    func(meta gitcite.Meta) (*gitcite.Repo, error)
 	factorySet bool
+	// functions is the decoded-function cache every repository the platform
+	// opens shares (openRepo): keyed by root tree, it outlives the handles
+	// the LRU closes and serves forks from their parent's entries.
+	functions gitcite.FunctionCache
 
 	// Persistence state — zero on in-memory platforms. dir is the data
 	// directory, man the open manifest journal. openLimit bounds how many
@@ -189,6 +193,17 @@ func NewPlatform(opts ...PlatformOption) *Platform {
 }
 
 func repoKey(owner, name string) string { return owner + "/" + name }
+
+// openRepo creates or reopens a repository through the factory and hands it
+// the platform's function cache.
+func (p *Platform) openRepo(meta gitcite.Meta) (*gitcite.Repo, error) {
+	repo, err := p.newRepo(meta)
+	if err != nil {
+		return nil, err
+	}
+	repo.ShareFunctionCache(&p.functions)
+	return repo, nil
+}
 
 // CreateUser registers an account and returns its API token. On a
 // persistent platform the account (token included) is journaled to the
@@ -328,7 +343,7 @@ func (p *Platform) CreateRepoAs(ctx context.Context, u *User, name, url, license
 	}
 	defer p.releaseKey(key)
 	meta := gitcite.Meta{Owner: u.Name, Name: name, URL: url, License: license}
-	repo, err := p.newRepo(meta)
+	repo, err := p.openRepo(meta)
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +388,7 @@ func (p *Platform) EnsureRepo(ctx context.Context, owner, name, url, license str
 	}
 	defer p.releaseKey(key)
 	meta := gitcite.Meta{Owner: owner, Name: name, URL: url, License: license}
-	repo, err := p.newRepo(meta)
+	repo, err := p.openRepo(meta)
 	if err != nil {
 		return err
 	}
@@ -506,7 +521,7 @@ func (p *Platform) lookup(owner, name string) (*hostedRepo, error) {
 func (p *Platform) pin(hr *hostedRepo) (*gitcite.Repo, func(), error) {
 	hr.mu.Lock()
 	if hr.repo == nil {
-		repo, err := p.newRepo(hr.meta)
+		repo, err := p.openRepo(hr.meta)
 		if err != nil {
 			hr.mu.Unlock()
 			return nil, nil, err
@@ -714,7 +729,7 @@ func (p *Platform) ForkRepoAs(ctx context.Context, u *User, owner, name, newName
 		return nil, errSimulatedCrash
 	}
 
-	forked, err := p.newRepo(meta)
+	forked, err := p.openRepo(meta)
 	if err == nil {
 		if forkCrashPoint != nil && forkCrashPoint("created") {
 			return nil, errSimulatedCrash

@@ -110,7 +110,10 @@ func FuzzSegmentReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		entries, covered := loadSegments(path, baseCovered, packSize)
+		entries, covered, found := loadSegments(path, baseCovered, packSize)
+		if !found {
+			t.Fatal("an existing journal reported absent")
+		}
 		if covered < baseCovered || covered > packSize {
 			t.Fatalf("covered %d outside [%d, %d]", covered, baseCovered, packSize)
 		}

@@ -169,7 +169,7 @@ func NewPackStore(dir string) (*PackStore, error) {
 	if err := os.MkdirAll(filepath.Join(dir, packDirName), 0o755); err != nil {
 		return nil, fmt.Errorf("store: create pack dir: %w", err)
 	}
-	s := &PackStore{root: dir, loose: loose, refs: make(map[object.ID]packRef)}
+	s := &PackStore{root: dir, loose: loose}
 	if err := s.loadPacks(); err != nil {
 		s.Close()
 		return nil, err
@@ -219,33 +219,55 @@ func (s *PackStore) loadPacks() error {
 	if err != nil {
 		return err
 	}
+	var loaded [][]packEntry
+	total := 0
 	for _, e := range names {
 		if e.IsDir() || !strings.HasPrefix(e.Name(), "pack-") || !strings.HasSuffix(e.Name(), ".pack") {
 			continue
 		}
-		if err := s.openPack(filepath.Join(dir, e.Name())); err != nil {
+		p, entries, err := s.openPack(filepath.Join(dir, e.Name()))
+		if err != nil {
 			return err
+		}
+		if p != nil {
+			s.packs = append(s.packs, p)
+			loaded = append(loaded, entries)
+			total += len(entries)
+		}
+	}
+	// Every index is read before any entry is registered, so the ref map is
+	// sized once instead of growing through each pack's entries.
+	s.refs = make(map[object.ID]packRef, total)
+	for i, entries := range loaded {
+		p := s.packs[i]
+		for _, e := range entries {
+			if _, dup := s.refs[e.id]; !dup {
+				s.refs[e.id] = packRef{pack: p, off: e.off, clen: e.clen}
+				s.gen++
+			}
 		}
 	}
 	return nil
 }
 
-// openPack opens one pack file, loads its persisted index — the sorted
+// openPack opens one pack file and loads its persisted index — the sorted
 // base .idx extended by any journaled segments, which are merged into the
-// base here ("lazily, on open") and the journal deleted — and registers
-// its entries. A missing base index is an empty one (the pack's creator
-// crashed before its first merge; the journal alone carries the
-// acknowledged history). A corrupt base index, or a missing one with no
-// usable journal, is recovered by scanning the pack's records.
-func (s *PackStore) openPack(path string) error {
+// base here ("lazily, on open") and the journal deleted — returning the
+// pack and its entries for the caller to register. A missing base index is
+// an empty one (the pack's creator crashed before its first merge; the
+// journal alone carries the acknowledged history). A corrupt base index, or
+// a missing one with no usable journal, is recovered by scanning the pack's
+// records. A pack too short to hold its header is skipped: nil pack, no
+// error.
+func (s *PackStore) openPack(path string) (*packFile, []packEntry, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("store: open pack: %w", err)
+		return nil, nil, fmt.Errorf("store: open pack: %w", err)
 	}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return err
+		return nil, nil, err
 	}
 	if st.Size() < int64(len(packMagic)) {
 		// A crash between creating a pack file and its header landing can
@@ -255,7 +277,7 @@ func (s *PackStore) openPack(path string) error {
 		// wrong magic still errors below: that is corruption, not a torn
 		// creation.)
 		f.Close()
-		return nil
+		return nil, nil, nil
 	}
 	p := &packFile{path: path, f: f}
 	segPath := segPathFor(path)
@@ -263,7 +285,7 @@ func (s *PackStore) openPack(path string) error {
 	if idxErr != nil {
 		entries, covered = nil, int64(len(packMagic))
 	}
-	segEntries, segCovered := loadSegments(segPath, covered, st.Size())
+	segEntries, segCovered, segFound := loadSegments(segPath, covered, st.Size())
 	entries = append(entries, segEntries...)
 	covered = segCovered
 	if idxErr != nil && len(segEntries) == 0 {
@@ -277,28 +299,23 @@ func (s *PackStore) openPack(path string) error {
 		entries, covered, err = scanPackRecords(f, st.Size())
 		if err != nil {
 			f.Close()
-			return fmt.Errorf("store: pack %s unreadable: %w", filepath.Base(path), err)
+			return nil, nil, fmt.Errorf("store: pack %s unreadable: %w", filepath.Base(path), err)
 		}
 	}
 	if idxErr != nil || len(segEntries) > 0 {
 		if _, werr := s.writeIndex(idxPathFor(path), entries, covered); werr != nil {
 			f.Close()
-			return werr
+			return nil, nil, werr
 		}
 	}
 	// The journal (if any) is merged into the base index now; remove it.
 	// Crashing between the index write above and this removal is fine: the
 	// next open skips segments the base already covers.
-	os.Remove(segPath)
-	p.size = covered
-	s.packs = append(s.packs, p)
-	for _, e := range entries {
-		if _, dup := s.refs[e.id]; !dup {
-			s.refs[e.id] = packRef{pack: p, off: e.off, clen: e.clen}
-			s.gen++
-		}
+	if segFound {
+		os.Remove(segPath)
 	}
-	return nil
+	p.size = covered
+	return p, entries, nil
 }
 
 func idxPathFor(packPath string) string {

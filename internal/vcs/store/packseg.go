@@ -26,7 +26,9 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"strings"
 
@@ -76,11 +78,13 @@ func encodeSegment(entries []packEntry, start, end int64) []byte {
 // Replay never fails: anything invalid — a torn or CRC-failing segment, a
 // coverage gap, a segment claiming bytes the pack does not have — ends the
 // acknowledged history right there, exactly like a torn pack tail. A
-// missing or unreadable journal contributes nothing.
-func loadSegments(path string, baseCovered, packSize int64) ([]packEntry, int64) {
+// missing or unreadable journal contributes nothing. found reports whether a
+// journal file exists, for the caller to delete once it is merged.
+func loadSegments(path string, baseCovered, packSize int64) ([]packEntry, int64, bool) {
 	data, err := os.ReadFile(path)
+	found := !errors.Is(err, fs.ErrNotExist)
 	if err != nil || len(data) < len(packSegMagic) || string(data[:len(packSegMagic)]) != packSegMagic {
-		return nil, baseCovered
+		return nil, baseCovered, found
 	}
 	data = data[len(packSegMagic):]
 	var entries []packEntry
@@ -135,5 +139,5 @@ func loadSegments(path string, baseCovered, packSize int64) ([]packEntry, int64)
 		covered = end
 		data = data[segLen:]
 	}
-	return entries, covered
+	return entries, covered, found
 }

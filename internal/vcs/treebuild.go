@@ -1,6 +1,7 @@
 package vcs
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -304,6 +305,11 @@ func walkTree(s store.Store, treeID object.ID, prefix string, fn func(string, ob
 	return nil
 }
 
+// ErrPathNotFound reports a path the tree does not hold: a missing entry, or
+// one below a file. It is the only error LookupPath returns about the tree's
+// content; any other error is the store failing to read a tree object.
+var ErrPathNotFound = errors.New("vcs: path not found")
+
 // LookupPath resolves a clean rooted path within a tree. For the root path
 // it returns a synthetic directory entry holding the root tree's ID.
 func LookupPath(s store.Store, treeID object.ID, cleanPath string) (object.TreeEntry, error) {
@@ -319,17 +325,17 @@ func LookupPath(s store.Store, treeID object.ID, cleanPath string) (object.TreeE
 		}
 		e, ok := tree.Entry(part)
 		if !ok {
-			return object.TreeEntry{}, fmt.Errorf("vcs: path %q not found (missing %q)", cleanPath, strings.Join(parts[:i+1], "/"))
+			return object.TreeEntry{}, fmt.Errorf("%w: %q (missing %q)", ErrPathNotFound, cleanPath, strings.Join(parts[:i+1], "/"))
 		}
 		if i == len(parts)-1 {
 			return e, nil
 		}
 		if !e.IsDir() {
-			return object.TreeEntry{}, fmt.Errorf("vcs: path %q traverses file %q", cleanPath, strings.Join(parts[:i+1], "/"))
+			return object.TreeEntry{}, fmt.Errorf("%w: %q traverses file %q", ErrPathNotFound, cleanPath, strings.Join(parts[:i+1], "/"))
 		}
 		cur = e.ID
 	}
-	return object.TreeEntry{}, fmt.Errorf("vcs: path %q not found", cleanPath)
+	return object.TreeEntry{}, fmt.Errorf("%w: %q", ErrPathNotFound, cleanPath)
 }
 
 // PathExists reports whether a clean rooted path names a file or directory

@@ -7,7 +7,8 @@
 # `gitcite-bench -experiment counters` ("counter <name> = <integer>" lines).
 # Any counter that GREW fails the gate — these are pure deterministic counts
 # (store writes per commit, wire objects per sync, negotiate IDs, full-store
-# scans, index bytes per pack append batch), so growth is a real efficiency
+# scans, index bytes per pack append batch, backend reads per cite of a
+# reopened repository), so growth is a real efficiency
 # regression, not runner noise. Counters present only in head are reported
 # as new (informational); counters present only in base fail, so a
 # regression cannot hide behind a counter rename. Pass "-" for both counter

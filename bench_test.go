@@ -67,9 +67,8 @@ func BenchmarkResolveClosestAncestor(b *testing.B) {
 			tree := core.MustPathSet(leaf)
 			cfg := workload.Default()
 			fn := core.MustNewFunction(cfg.RootCitation())
-			// Only the root is cited: the first resolution walks the full
-			// depth and warms the index; the steady state measured here is
-			// the O(1) zero-alloc hit.
+			// Only the root is cited: every resolution walks the full
+			// depth, one map lookup per level, and allocates nothing.
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -82,9 +81,9 @@ func BenchmarkResolveClosestAncestor(b *testing.B) {
 	}
 }
 
-// BenchmarkResolveColdIndex forces a full ancestor walk every iteration by
-// invalidating the index with a mutation — the pre-index worst case, kept
-// as the baseline the warm numbers are compared against.
+// BenchmarkResolveColdIndex is a write followed by a resolution: the first
+// read of a path after a mutation, which walks every ancestor like any
+// other read.
 func BenchmarkResolveColdIndex(b *testing.B) {
 	for _, depth := range []int{4, 64, 256} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
@@ -106,16 +105,16 @@ func BenchmarkResolveColdIndex(b *testing.B) {
 	}
 }
 
-// BenchmarkResolveClosestAncestorParallel measures warm-index resolution
-// under reader concurrency: every goroutine hammers the same function, all
-// served from the shared index with read locks only.
+// BenchmarkResolveClosestAncestorParallel measures resolution under reader
+// concurrency: every goroutine hammers the same function under read locks
+// only.
 func BenchmarkResolveClosestAncestorParallel(b *testing.B) {
 	for _, depth := range []int{16, 256} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			leaf := workload.DeepPath(depth)
 			cfg := workload.Default()
 			fn := core.MustNewFunction(cfg.RootCitation())
-			if _, _, err := fn.Resolve(leaf); err != nil { // warm the index
+			if _, _, err := fn.Resolve(leaf); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -779,7 +778,7 @@ func BenchmarkHostingGenCite(b *testing.B) {
 func BenchmarkHostingGenCiteParallel(b *testing.B) {
 	client, closeFn := newBenchServer(b)
 	defer closeFn()
-	// Warm the per-commit function cache and its resolution index.
+	// Warm the per-commit function cache.
 	if _, _, err := client.GenCite("bench", "repo", "main", "/dir00/file00.go"); err != nil {
 		b.Fatal(err)
 	}

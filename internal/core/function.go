@@ -17,11 +17,10 @@ import (
 //
 // A Function is safe for concurrent use: any number of readers (Resolve,
 // ResolveChain, Get, Has, ...) may run in parallel with each other and with
-// writers (Add, Delete, Modify, Rename, ...). Reads are served from a
-// lazily-built resolution index — the first Resolve of a path walks the
-// ancestor chain and memoises the answer, and every subsequent Resolve of
-// that path is an O(1) map hit with no allocations. Any mutation
-// invalidates the index.
+// writers (Add, Delete, Modify, Rename, ...). A read changes nothing: Resolve
+// walks from the path up to the root against the entry map under the read
+// lock and remembers no answer, so a version read by many requests holds
+// nothing but its entries.
 //
 // Committed versions hold snapshots taken with Clone, which is
 // copy-on-write: the clone shares the entry map with its source until
@@ -39,26 +38,6 @@ type Function struct {
 	// cow marks the entry map as shared with at least one other Function
 	// (a Clone source or product); the next mutation copies it first.
 	cow bool
-	// gen counts mutations; Resolve uses it to discard index inserts that
-	// raced with a writer.
-	gen uint64
-	// idx memoises Resolve results; kidx memoises ResolveKey results under
-	// interned-path keys (a pointer-keyed map, so a warm hit is O(1) in
-	// path length); chain memoises ResolveChain results. All are nil until
-	// first use and dropped on every mutation. Values share
-	// AuthorList/Extra storage with entries — see Resolve.
-	idx   map[string]resolved
-	kidx  map[*PathKey]resolved
-	chain map[string][]PathCitation
-}
-
-// resolved is one memoised resolution: the record whose citation answers,
-// and the active-domain path that supplied it. The memo points at the
-// immutable record instead of copying its citation, so a warm index costs a
-// pointer per path, however many versions a cache holds warm.
-type resolved struct {
-	rec  *Record
-	from string
 }
 
 // Errors returned by citation-function operations.
@@ -127,7 +106,7 @@ func FromRecords(records map[string]*Record) (*Function, error) {
 // Clone returns an independent snapshot — the value stored with a committed
 // version. The snapshot is copy-on-write: both functions share the entry
 // map until one of them is next mutated, so cloning is O(1) regardless of
-// the active domain's size. The clone starts with a cold resolution index.
+// the active domain's size.
 func (f *Function) Clone() *Function {
 	f.mu.Lock()
 	f.cow = true
@@ -146,14 +125,13 @@ func (f *Function) Assign(g *Function) {
 	g.mu.Unlock()
 	f.mu.Lock()
 	f.entries, f.cow = entries, true
-	f.invalidateLocked()
 	f.mu.Unlock()
 }
 
 // prepareWriteLocked readies the function for a mutation: a shared
-// (copy-on-write) entry map is copied, and the resolution index is dropped.
-// Records are shared by the copy — they are immutable, so a shallow map copy
-// fully detaches the two functions. Callers hold mu.
+// (copy-on-write) entry map is copied. Records are shared by the copy — they
+// are immutable, so a shallow map copy fully detaches the two functions.
+// Callers hold mu.
 func (f *Function) prepareWriteLocked() {
 	if f.cow {
 		m := make(map[string]*Record, len(f.entries))
@@ -163,16 +141,6 @@ func (f *Function) prepareWriteLocked() {
 		f.entries = m
 		f.cow = false
 	}
-	f.invalidateLocked()
-}
-
-// invalidateLocked drops the resolution index after (or just before) a
-// change to the entry map. Callers hold mu.
-func (f *Function) invalidateLocked() {
-	f.gen++
-	f.idx = nil
-	f.kidx = nil
-	f.chain = nil
 }
 
 // Len returns the number of explicit entries (the active domain's size).
@@ -318,132 +286,72 @@ func (f *Function) Delete(path string) error {
 // return names the active-domain path the citation came from. Resolution is
 // total because the root is always present.
 //
-// The first resolution of a path walks the ancestor chain and memoises the
-// answer in the function's resolution index; repeat resolutions are O(1)
-// map hits with zero allocations. To stay allocation-free, the returned
-// citation shares its AuthorList and Extra storage with the function:
-// treat those fields as read-only, or Clone the citation before mutating
-// them. Scalar fields of the returned value may be set freely.
+// Resolve walks from the clean path up to the root, one map lookup per
+// level, and allocates nothing. The returned citation shares its AuthorList
+// and Extra storage with the function: treat those fields as read-only, or
+// Clone the citation before mutating them. Scalar fields of the returned
+// value may be set freely.
 func (f *Function) Resolve(path string) (Citation, string, error) {
 	clean, err := vcs.CleanPath(path)
 	if err != nil {
 		return Citation{}, "", err
 	}
 	f.mu.RLock()
-	if r, ok := f.idx[clean]; ok {
-		f.mu.RUnlock()
-		return r.rec.cite, r.from, nil
-	}
-	gen := f.gen
-	var hit resolved
+	defer f.mu.RUnlock()
 	for p := clean; ; p = vcs.ParentPath(p) {
 		if r, ok := f.entries[p]; ok {
-			hit = resolved{rec: r, from: p}
-			break
+			return r.cite, p, nil
 		}
 		if p == "/" {
 			// Unreachable for well-formed functions; guard anyway.
-			f.mu.RUnlock()
 			return Citation{}, "", ErrRootRequired
 		}
 	}
-	f.mu.RUnlock()
-
-	f.mu.Lock()
-	// A writer may have slipped in between the two lock regions; only
-	// memoise answers computed against the current generation.
-	if f.gen == gen {
-		if f.idx == nil {
-			f.idx = make(map[string]resolved)
-		}
-		f.idx[clean] = hit
-	}
-	f.mu.Unlock()
-	return hit.rec.cite, hit.from, nil
 }
 
 // ResolveKey is Resolve for an interned path (see PathTable): the same
-// semantics and the same sharing rules for the returned citation, but the
-// memo is keyed by the key's pointer, so a warm hit costs O(1) regardless
-// of the path's depth or length — a string-keyed warm Resolve must re-hash
-// the whole path. The cold walk follows the key's pre-linked ancestor
-// chain instead of re-slicing the path per level. Keys from any PathTable
-// work with any Function; a key must not be nil.
+// walk and the same sharing rules for the returned citation, following the
+// key's pre-linked parent chain. It is no faster than Resolve and exists
+// only because benchmark/probes.go times it as core.resolve_key_ns; drop it
+// with that probe. A key must not be nil.
 func (f *Function) ResolveKey(k *PathKey) (Citation, string, error) {
 	f.mu.RLock()
-	if r, ok := f.kidx[k]; ok {
-		f.mu.RUnlock()
-		return r.rec.cite, r.from, nil
-	}
-	gen := f.gen
-	var hit resolved
+	defer f.mu.RUnlock()
 	for a := k; a != nil; a = a.parent {
 		if r, ok := f.entries[a.clean]; ok {
-			hit = resolved{rec: r, from: a.clean}
-			break
+			return r.cite, a.clean, nil
 		}
 	}
-	f.mu.RUnlock()
-	if hit.rec == nil {
-		// Unreachable for well-formed functions (the chain ends at "/",
-		// which always has an entry); guard anyway.
-		return Citation{}, "", ErrRootRequired
-	}
-
-	f.mu.Lock()
-	// A writer may have slipped in between the two lock regions; only
-	// memoise answers computed against the current generation.
-	if f.gen == gen {
-		if f.kidx == nil {
-			f.kidx = make(map[*PathKey]resolved)
-		}
-		f.kidx[k] = hit
-	}
-	f.mu.Unlock()
-	return hit.rec.cite, hit.from, nil
+	// Unreachable for well-formed functions (the chain ends at "/", which
+	// always has an entry); guard anyway.
+	return Citation{}, "", ErrRootRequired
 }
 
 // ResolveChain implements the alternative semantics the paper mentions
 // ("ones that include every citation on the path from n to r"): every
-// explicit citation on the root-to-node path, ordered root first.
-//
-// Like Resolve, repeat calls for the same path are served from the
-// resolution index without allocating; the returned slice is shared and
-// must be treated as read-only.
+// explicit citation on the root-to-node path, ordered root first, so the
+// first link is always the root's. The slice is fresh and the caller's; its
+// citations share storage as Resolve's do.
 func (f *Function) ResolveChain(path string) ([]PathCitation, error) {
 	clean, err := vcs.CleanPath(path)
 	if err != nil {
 		return nil, err
 	}
+	var out []PathCitation
 	f.mu.RLock()
-	if c, ok := f.chain[clean]; ok {
-		f.mu.RUnlock()
-		return c, nil
-	}
-	gen := f.gen
-	var reversed []PathCitation
-	for p := clean; ; p = vcs.ParentPath(p) {
+	defer f.mu.RUnlock()
+	for p := clean; p != "/"; p = vcs.ParentPath(p) {
 		if r, ok := f.entries[p]; ok {
-			reversed = append(reversed, PathCitation{Path: p, Citation: r.cite})
-		}
-		if p == "/" {
-			break
+			out = append(out, PathCitation{Path: p, Citation: r.cite})
 		}
 	}
-	f.mu.RUnlock()
-	out := make([]PathCitation, 0, len(reversed))
-	for i := len(reversed) - 1; i >= 0; i-- {
-		out = append(out, reversed[i])
+	root, ok := f.entries["/"]
+	if !ok {
+		// Unreachable for well-formed functions; guard anyway.
+		return nil, ErrRootRequired
 	}
-
-	f.mu.Lock()
-	if f.gen == gen {
-		if f.chain == nil {
-			f.chain = make(map[string][]PathCitation)
-		}
-		f.chain[clean] = out
-	}
-	f.mu.Unlock()
+	out = append(out, PathCitation{Path: "/", Citation: root.cite})
+	slices.Reverse(out)
 	return out, nil
 }
 

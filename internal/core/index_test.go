@@ -7,13 +7,13 @@ import (
 )
 
 // TestResolveIndexInvalidation drives every mutating operator and checks
-// that resolution sees the new state immediately — the warm index must
-// never serve a stale answer.
+// that resolution sees the new state immediately — an earlier resolution of
+// the same path must never decide a later one.
 func TestResolveIndexInvalidation(t *testing.T) {
 	tree := demoTree()
 	f := MustNewFunction(named("root"))
 
-	// Warm the index on a deep path: resolves to the root.
+	// Resolve a deep path first: it comes from the root.
 	if _, from, err := f.Resolve("/src/util/helpers.go"); err != nil || from != "/" {
 		t.Fatalf("initial resolve from=%q err=%v", from, err)
 	}
@@ -67,8 +67,8 @@ func TestResolveIndexInvalidation(t *testing.T) {
 		t.Fatalf("after Delete from=%q, want /lib", from)
 	}
 
-	// Prune of paths no longer in the tree invalidates too (nothing under
-	// /lib exists in demoTree).
+	// Prune of paths no longer in the tree is seen too (nothing under /lib
+	// exists in demoTree).
 	if removed := f.Prune(demoTree()); len(removed) != 1 || removed[0] != "/lib" {
 		t.Fatalf("Prune removed %v, want [/lib]", removed)
 	}
@@ -85,7 +85,7 @@ func TestCloneCopyOnWrite(t *testing.T) {
 	if err := f.Add(tree, "/src", named("s")); err != nil {
 		t.Fatal(err)
 	}
-	// Warm f's index before cloning; the clone starts cold but correct.
+	// Resolve on f before cloning; the clone answers from its own entries.
 	if _, _, err := f.Resolve("/src/main.go"); err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,9 @@
 // path.go implements the interned path table: a canonicalising registry
 // that maps each clean repository path to a single *PathKey, pre-linked to
-// its ancestor chain. Resolving through a key (Function.ResolveKey) makes
-// the warm hit O(1) in path length — the memo is keyed by the pointer, so
-// a depth-256 path costs the same as a depth-4 one — where the string form
-// (Function.Resolve) must re-hash the full path on every call. Callers
-// that resolve the same paths repeatedly (credit reports, chain renders,
-// steady-state hosting reads of one version) intern once and keep the
-// keys.
+// its ancestor chain. Function.ResolveKey walks that chain. Neither buys
+// anything over Function.Resolve on a path string; both stay only because
+// benchmark/probes.go interns through gitcite.Repo.Paths and times
+// ResolveKey, and both go when that probe does.
 package core
 
 import (

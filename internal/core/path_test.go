@@ -76,7 +76,7 @@ func TestResolveKeyMatchesResolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for pass := 0; pass < 2; pass++ { // cold walk, then warm memo hit
+		for pass := 0; pass < 2; pass++ { // a repeat must answer the same
 			kc, kf, kerr := fn.ResolveKey(k)
 			sc, sf, serr := fn.Resolve(p)
 			if (kerr == nil) != (serr == nil) || kf != sf || !kc.Equal(sc) {
@@ -87,8 +87,8 @@ func TestResolveKeyMatchesResolve(t *testing.T) {
 	}
 }
 
-// TestResolveKeyInvalidatedByMutation: the pointer-keyed memo must drop on
-// every mutation, exactly like the string-keyed one.
+// TestResolveKeyInvalidatedByMutation: a keyed resolution sees a mutation
+// made after an earlier resolution of the same key.
 func TestResolveKeyInvalidatedByMutation(t *testing.T) {
 	fn := MustNewFunction(Citation{Owner: "o", RepoName: "r", URL: "u", Version: "1", AuthorList: []string{"a"}})
 	tree := MustPathSet("/a/b/c.txt")
@@ -108,9 +108,8 @@ func TestResolveKeyInvalidatedByMutation(t *testing.T) {
 	}
 }
 
-// TestResolveKeyCloneIndependence: a copy-on-write clone must not share
-// the memo, and mutating one side must not leak into the other's keyed
-// resolutions.
+// TestResolveKeyCloneIndependence: mutating one side of a copy-on-write
+// clone must not leak into the other's keyed resolutions.
 func TestResolveKeyCloneIndependence(t *testing.T) {
 	fn := MustNewFunction(Citation{Owner: "o", RepoName: "r", URL: "u", Version: "1", AuthorList: []string{"a"}})
 	tree := MustPathSet("/a/b.txt")
@@ -172,11 +171,9 @@ func TestResolveKeyConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkResolveWarmByDepth vs BenchmarkResolveKeyWarmByDepth is the
-// depth-scaling comparison the interned path table exists for: the warm
-// string-keyed Resolve re-hashes the whole path per hit, so its cost grows
-// with depth, while the pointer-keyed warm hit is flat — O(1) in path
-// length.
+// BenchmarkResolveWarmByDepth and BenchmarkResolveKeyWarmByDepth price a
+// repeat resolution at depth: both walk every ancestor of a path cited only
+// at the root, so their cost grows with depth.
 func benchDepthFunction(b *testing.B, depth int) (*Function, string) {
 	b.Helper()
 	fn := MustNewFunction(Citation{Owner: "o", RepoName: "r", URL: "u", Version: "1", AuthorList: []string{"a"}})

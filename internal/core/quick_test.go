@@ -70,9 +70,12 @@ func modelValues(args []reflect.Value, r *rand.Rand) {
 	args[0] = reflect.ValueOf(genModel(r))
 }
 
-// I1 + I2: Cite is total and equals the nearest ancestor-or-self entry.
+// I1 + I2: Cite is total and equals the nearest ancestor-or-self entry;
+// ResolveKey gives the same answer through an interned key, and
+// ResolveChain lists every ancestor-or-self entry, root first.
 func TestQuickResolveTotalAndClosest(t *testing.T) {
 	f := func(m randModel) bool {
+		var keys PathTable
 		for _, p := range m.tree.Paths() {
 			got, from, err := m.fn.Resolve(p)
 			if err != nil {
@@ -84,19 +87,45 @@ func TestQuickResolveTotalAndClosest(t *testing.T) {
 			}
 			// ...and no closer ancestor may carry an entry.
 			for q := p; q != from; q = vcs.ParentPath(q) {
-				if q != from && m.fn.Has(q) && q != p {
-					_ = q
-				}
-				if m.fn.Has(q) && q != from {
+				if m.fn.Has(q) {
 					return false
-				}
-				if q == "/" {
-					break
 				}
 			}
 			want, err := m.fn.Get(from)
 			if err != nil || !got.Equal(want) {
 				return false
+			}
+
+			k, err := keys.Intern(p)
+			if err != nil {
+				return false
+			}
+			kc, kfrom, err := m.fn.ResolveKey(k)
+			if err != nil || kfrom != from || !kc.Equal(want) {
+				return false
+			}
+
+			chain, err := m.fn.ResolveChain(p)
+			if err != nil {
+				return false
+			}
+			var cited []string // ancestors-or-self with an entry, leaf first
+			for q := p; ; q = vcs.ParentPath(q) {
+				if m.fn.Has(q) {
+					cited = append(cited, q)
+				}
+				if q == "/" {
+					break
+				}
+			}
+			if len(chain) != len(cited) || chain[len(chain)-1].Path != from {
+				return false
+			}
+			for i, link := range chain {
+				c, err := m.fn.Get(link.Path)
+				if link.Path != cited[len(cited)-1-i] || err != nil || !link.Citation.Equal(c) {
+					return false
+				}
 			}
 		}
 		return true

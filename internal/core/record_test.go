@@ -65,8 +65,8 @@ func TestRecordTableSharesOnlyIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmResolveAllocatesNothing: the resolution memo points at records,
-// and a warm hit — by path or by interned key — allocates nothing.
+// TestWarmResolveAllocatesNothing: a repeat resolution — by path or by
+// interned key — allocates nothing, and sees the function's current entries.
 func TestWarmResolveAllocatesNothing(t *testing.T) {
 	f := MustNewFunction(Citation{Owner: "root", RepoName: "r", URL: "u", Version: "1"})
 	tree := MustPathSet("/a/b/c/d.txt")
@@ -96,6 +96,46 @@ func TestWarmResolveAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c, _, _ := f.Resolve("/a/b/c/d.txt"); c.Owner != "y" {
-		t.Errorf("memo survived a mutation: %v", c)
+		t.Errorf("resolution missed a mutation: %v", c)
+	}
+}
+
+// TestResolveRetainsNothing: a read changes nothing. On a function built as
+// a codec builds one, the very first Resolve and the very first ResolveKey
+// each allocate nothing, so neither can have stored an answer.
+func TestResolveRetainsNothing(t *testing.T) {
+	const runs = 50
+	fresh := make([]*Function, 2*(runs+1)) // AllocsPerRun adds a warm-up call
+	for i := range fresh {
+		f, err := FromRecords(map[string]*Record{
+			"/":    NewRecord(Citation{Owner: "root", RepoName: "r", URL: "u", Version: "1"}),
+			"/a/b": NewRecord(Citation{Owner: "x", AuthorList: []string{"x"}}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = f
+	}
+	var paths PathTable
+	key, err := paths.Intern("/a/b/c/d.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		if _, from, _ := fresh[next].Resolve("/a/b/c/d.txt"); from != "/a/b" {
+			t.Fatalf("Resolve from %q", from)
+		}
+		next++
+	}); n != 0 {
+		t.Errorf("first Resolve allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(runs, func() {
+		if _, from, _ := fresh[next].ResolveKey(key); from != "/a/b" {
+			t.Fatalf("ResolveKey from %q", from)
+		}
+		next++
+	}); n != 0 {
+		t.Errorf("first ResolveKey allocates %v times", n)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // across several committed versions while new commits land — the hosting
 // platform's read/write mix — and checks every answer; run with -race.
 // All readers of one commit share the cached function, so this also
-// exercises concurrent warming of a single resolution index.
+// exercises concurrent reads of a single Function.
 func TestParallelGenerate(t *testing.T) {
 	r := newRepo(t)
 	wt, err := r.Checkout("main")

@@ -96,7 +96,7 @@ func TestFunctionCacheLRU(t *testing.T) {
 	}
 
 	// Concurrent loaders share the first one's instance, also when it sits
-	// in the old generation (its resolution index may be warm).
+	// in the old generation.
 	first, second := core.MustNewFunction(cite("a")), core.MustNewFunction(cite("b"))
 	if got := c.add(tree(1), first); got != first {
 		t.Fatal("a reloaded victim was not cached")

@@ -309,6 +309,59 @@ func TestGenerateChain(t *testing.T) {
 	}
 }
 
+// TestGenerateChainMatchesGenerate: on every path of every version, a
+// chain's root link is what Generate gives for "/" — commit ID and date
+// filled in — and its last link is what Generate gives for the path.
+func TestGenerateChainMatchesGenerate(t *testing.T) {
+	r := newRepo(t)
+	wt, _ := r.Checkout("main")
+	for _, p := range []string{"/a/b/f.txt", "/a/g.txt", "/top.txt"} {
+		if err := wt.WriteFile(p, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wt.AddCite("/a", cite("aOwner")); err != nil {
+		t.Fatal(err)
+	}
+	c1, err := wt.Commit(opts("x", 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wt.AddCite("/a/b/f.txt", cite("fOwner")); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := wt.Commit(opts("x", 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []string{"/", "/a", "/a/b", "/a/b/f.txt", "/a/g.txt", "/top.txt"}
+	for _, v := range []object.ID{c1, c2} {
+		root, _, err := r.Generate(v, "/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if root.CommitID != v.Short() {
+			t.Fatalf("Generate(%s, /) names commit %q", v.Short(), root.CommitID)
+		}
+		for _, p := range paths {
+			chain, err := r.GenerateChain(v, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, from, err := r.Generate(v, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if chain[0].Path != "/" || !chain[0].Citation.Equal(root) {
+				t.Errorf("%s %s: root link %+v, Generate(/) = %+v", v.Short(), p, chain[0], root)
+			}
+			if last := chain[len(chain)-1]; last.Path != from || !last.Citation.Equal(want) {
+				t.Errorf("%s %s: last link %+v, Generate = %+v from %s", v.Short(), p, last, want, from)
+			}
+		}
+	}
+}
+
 func TestFunctionAtNonEnabled(t *testing.T) {
 	r := newRepo(t)
 	// Commit directly through the VCS, bypassing the citation layer.

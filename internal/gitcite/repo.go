@@ -54,21 +54,18 @@ type Repo struct {
 	Meta Meta
 
 	// functions is the decoded-function cache (see FunctionCache): every
-	// reader of a version shares one Function — and therefore one warm
-	// resolution index. Set by ShareFunctionCache, else created on first
-	// use, so a Repo built as a struct literal works too.
+	// reader of a version shares one decoded Function. Set by
+	// ShareFunctionCache, else created on first use, so a Repo built as a
+	// struct literal works too.
 	functions atomic.Pointer[FunctionCache]
 
-	// paths interns this repository's tree paths (core.PathTable): readers
-	// that resolve the same paths across many versions — credit reports,
-	// chain renders — intern once and hit every version's pointer-keyed
-	// memo in O(1) regardless of path depth. Scoped to the repository so
-	// the table's population is bounded by its content.
+	// paths is a path table no read path uses: it stays only because
+	// benchmark/probes.go interns through Paths to time
+	// core.Function.ResolveKey, and goes with that probe.
 	paths core.PathTable
 }
 
-// Paths returns the repository's interned path table, for read paths that
-// resolve via core.Function.ResolveKey.
+// Paths returns the repository's interned path table (see the paths field).
 func (r *Repo) Paths() *core.PathTable { return &r.paths }
 
 // ShareFunctionCache makes the repository read and seed decoded citation
@@ -216,9 +213,8 @@ func (r *Repo) FunctionAt(commitID object.ID) (*core.Function, error) {
 
 // ResolvedFunctionAt returns the shared, read-only citation function of a
 // committed version. All readers of the same version get the same Function
-// instance, so its lazily-built resolution index warms once and serves
-// every subsequent Resolve as an O(1) hit. Callers must not mutate it —
-// use FunctionAt for a mutable snapshot.
+// instance, decoded once. Callers must not mutate it — use FunctionAt for a
+// mutable snapshot.
 //
 // Reading the commit is the only store access on a cache hit; it is also
 // what confirms the version exists in this repository before a cache that
@@ -295,30 +291,47 @@ func (r *Repo) Generate(commitID object.ID, path string) (core.Citation, string,
 	if err != nil {
 		return core.Citation{}, "", err
 	}
-	// Resolve returns a shallow citation off the shared warm index; only
-	// scalar fields are filled in below, which is safe on the value copy.
+	// Resolve returns a shallow citation that shares slices with the
+	// version's record; only scalar fields are filled in below, which is
+	// safe on the value copy.
 	cite, from, err := fn.Resolve(path)
 	if err != nil {
 		return core.Citation{}, "", err
 	}
 	if from == "/" {
-		if cite.CommitID == "" {
-			cite.CommitID = commitID.Short()
-		}
-		if cite.CommittedDate.IsZero() {
-			cite.CommittedDate = c.Committer.When
-		}
+		nameVersion(&cite, commitID, c)
 	}
 	return cite, from, nil
 }
 
-// GenerateChain is Generate under the alternative whole-path semantics.
+// GenerateChain is Generate under the alternative whole-path semantics. Its
+// first link is the root's, filled in as Generate fills a root answer.
 func (r *Repo) GenerateChain(commitID object.ID, path string) ([]core.PathCitation, error) {
-	fn, err := r.ResolvedFunctionAt(commitID)
+	c, err := r.VCS.Commit(commitID)
 	if err != nil {
 		return nil, err
 	}
-	return fn.ResolveChain(path)
+	fn, err := r.functionOf(c.TreeID)
+	if err != nil {
+		return nil, err
+	}
+	chain, err := fn.ResolveChain(path)
+	if err != nil {
+		return nil, err
+	}
+	nameVersion(&chain[0].Citation, commitID, c)
+	return chain, nil
+}
+
+// nameVersion fills in a root citation's missing commit ID and date from the
+// version it is generated for.
+func nameVersion(cite *core.Citation, commitID object.ID, c *object.Commit) {
+	if cite.CommitID == "" {
+		cite.CommitID = commitID.Short()
+	}
+	if cite.CommittedDate.IsZero() {
+		cite.CommittedDate = c.Committer.When
+	}
 }
 
 // CiteFileBytes returns the stored citation.cite contents of a commit.

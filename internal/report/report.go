@@ -63,7 +63,7 @@ type Report struct {
 // repository.
 func Build(repo *gitcite.Repo, commit object.ID) (*Report, error) {
 	// Read-only access: share the repository's cached function so repeated
-	// credit reports for one version reuse its warm resolution index.
+	// credit reports for one version decode it once.
 	fn, err := repo.ResolvedFunctionAt(commit)
 	if err != nil {
 		return nil, err
@@ -81,21 +81,14 @@ func Build(repo *gitcite.Repo, commit object.ID) (*Report, error) {
 	perEntryFiles := map[string]int{}
 	authorFiles := map[string]int{}
 
-	// Resolve through the repository's interned path table: repeated
-	// credit reports (and any other keyed reader of these versions) hit
-	// the function's pointer-keyed memo in O(1) per file, however deep the
-	// tree nests.
-	paths := repo.Paths()
+	// Each file resolves by walking its ancestors; nothing is retained, so
+	// a report leaves the shared function as it found it.
 	for _, f := range files {
 		if f.Path == citefile.Path {
 			continue
 		}
 		rep.TotalFiles++
-		key, err := paths.Intern(f.Path)
-		if err != nil {
-			return nil, err
-		}
-		cite, from, err := fn.ResolveKey(key)
+		cite, from, err := fn.Resolve(f.Path)
 		if err != nil {
 			return nil, err
 		}

@@ -100,13 +100,14 @@ func JoinPath(parts ...string) string {
 	return "/" + strings.Join(parts, "/")
 }
 
-// ParentPath returns the parent of a clean path ("/" is its own parent).
+// ParentPath returns the parent of a clean path ("/" is its own parent). It
+// slices at the last separator, scanning only the last component, where
+// path.Dir would re-clean the whole path at every level of an ancestor walk.
 func ParentPath(clean string) string {
-	if clean == "/" {
-		return "/"
+	if i := strings.LastIndexByte(clean, '/'); i > 0 {
+		return clean[:i]
 	}
-	dir := path.Dir(clean)
-	return dir
+	return "/"
 }
 
 // BaseName returns the final component of a clean path ("" for the root).

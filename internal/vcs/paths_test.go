@@ -1,6 +1,7 @@
 package vcs
 
 import (
+	"path"
 	"reflect"
 	"strings"
 	"testing"
@@ -65,6 +66,33 @@ func TestParentBase(t *testing.T) {
 		}
 		if got := BaseName(c.in); got != c.base {
 			t.Errorf("BaseName(%q) = %q, want %q", c.in, got, c.base)
+		}
+	}
+}
+
+// TestParentPathMatchesPathDir pins the slicing ParentPath to path.Dir, its
+// reference, on every clean path of a generated set: the root, depth 1,
+// deep paths, long names, dotted names and every ancestor of each.
+func TestParentPathMatchesPathDir(t *testing.T) {
+	seeds := []string{"/", "/a", "/.x", "/a.b/c..d", "/" + strings.Repeat("n", 300)}
+	deep := ""
+	for i := 0; i < 256; i++ {
+		deep += "/d" + strings.Repeat("x", i%7)
+	}
+	seeds = append(seeds, deep, deep+"/"+strings.Repeat("long", 100)+".txt")
+	for _, seed := range seeds {
+		for p := seed; ; {
+			if !IsCleanPath(p) {
+				t.Fatalf("generated path %q is not clean", p)
+			}
+			got := ParentPath(p)
+			if want := path.Dir(p); got != want {
+				t.Fatalf("ParentPath(%q) = %q, path.Dir = %q", p, got, want)
+			}
+			if p == "/" {
+				break
+			}
+			p = got
 		}
 	}
 }

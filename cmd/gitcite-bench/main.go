@@ -614,31 +614,85 @@ func runCounters() error {
 		fileMap[fmt.Sprintf("/d%d/s%d/f%d.txt", i%10, (i/10)%10, i)] = vcs.File(fmt.Sprintf("seed %d", i))
 	}
 	opts := vcs.CommitOptions{Author: vcs.Sig("bench", "bench@x", time.Unix(1, 0)), Message: "bench"}
+	// oneFileCommits builds the repository on objects, calls mark once it
+	// stands, then commits an edit of one file cCommits times.
+	oneFileCommits := func(objects store.Store, mark func() error) error {
+		repo := &vcs.Repository{Objects: objects, Refs: refs.NewMemoryStore()}
+		tip, err := repo.CommitFiles("main", fileMap, opts)
+		if err != nil {
+			return err
+		}
+		base, err := repo.TreeOf(tip)
+		if err != nil {
+			return err
+		}
+		if err := mark(); err != nil {
+			return err
+		}
+		for i := 0; i < cCommits; i++ {
+			edits := map[string]vcs.TreeEdit{"/d3/s4/f430.txt": {Data: []byte(fmt.Sprintf("edit %d", i))}}
+			if tip, err = repo.CommitDelta("main", base, edits, nil, opts); err != nil {
+				return err
+			}
+			if base, err = repo.TreeOf(tip); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	counting := &countingStore{Store: store.NewMemoryStore()}
-	repo := &vcs.Repository{Objects: counting, Refs: refs.NewMemoryStore()}
-	tip, err := repo.CommitFiles("main", fileMap, opts)
+	err := oneFileCommits(counting, func() error {
+		counting.puts.Store(0)
+		return nil
+	})
 	if err != nil {
 		return err
-	}
-	base, err := repo.TreeOf(tip)
-	if err != nil {
-		return err
-	}
-	counting.puts.Store(0)
-	for i := 0; i < cCommits; i++ {
-		edits := map[string]vcs.TreeEdit{"/d3/s4/f430.txt": {Data: []byte(fmt.Sprintf("edit %d", i))}}
-		if tip, err = repo.CommitDelta("main", base, edits, nil, opts); err != nil {
-			return err
-		}
-		if base, err = repo.TreeOf(tip); err != nil {
-			return err
-		}
 	}
 	totalPuts := counting.puts.Load()
 	if totalPuts%cCommits != 0 {
 		return fmt.Errorf("puts per commit not integral: %d over %d commits", totalPuts, cCommits)
 	}
 	emit("store_puts_per_one_file_commit", totalPuts/cCommits)
+
+	// --- pack bytes per one-file commit (same repo and edits, on disk) ---
+	// The disk price of the records a commit writes, averaged (rounded
+	// down) over the same 20 commits on a PackStore: it moves only when
+	// what a commit writes, or how its records are compressed, changes.
+	packDir, err := os.MkdirTemp("", "gitcite-counters-packbytes-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(packDir)
+	packBytes := func() (int64, error) {
+		packs, err := filepath.Glob(filepath.Join(packDir, "pack", "pack-*.pack"))
+		var total int64
+		for _, p := range packs {
+			fi, serr := os.Stat(p)
+			if serr != nil {
+				return 0, serr
+			}
+			total += fi.Size()
+		}
+		return total, err
+	}
+	diskPack, err := store.NewPackStore(packDir)
+	if err != nil {
+		return err
+	}
+	defer diskPack.Close()
+	var bytesBefore int64
+	err = oneFileCommits(diskPack, func() (err error) {
+		bytesBefore, err = packBytes()
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	bytesAfter, err := packBytes()
+	if err != nil {
+		return err
+	}
+	emit("pack_bytes_per_one_file_commit", (bytesAfter-bytesBefore)/cCommits)
 
 	// --- store Puts per merge commit (1000-file repo, one file per side) ---
 	// Two branches each edit one file two directories down; MergeBranches

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,7 +39,24 @@ func (m Mode) Valid() bool {
 }
 
 // String returns the octal form used in the canonical encoding.
-func (m Mode) String() string { return fmt.Sprintf("%06o", uint32(m)) }
+func (m Mode) String() string {
+	var buf [modeMaxDigits]byte
+	return string(m.appendOctal(buf[:0]))
+}
+
+// modeMaxDigits is the octal width of the largest uint32.
+const modeMaxDigits = 11
+
+// appendOctal appends m in octal, zero-padded to at least six digits: the
+// bytes fmt's "%06o" gives, without fmt's allocation.
+func (m Mode) appendOctal(dst []byte) []byte {
+	var buf [modeMaxDigits]byte
+	digits := strconv.AppendUint(buf[:0], uint64(m), 8)
+	for n := len(digits); n < 6; n++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
+}
 
 // TreeEntry is a single named child of a tree: a file (blob) or a subtree.
 type TreeEntry struct {
@@ -176,8 +194,15 @@ func (t *Tree) Without(name string) (*Tree, error) {
 // Canonical tree encoding: for each entry in name order,
 // "<mode> <name>\x00" followed by the 32 raw ID bytes.
 func (t *Tree) encode(dst []byte) []byte {
+	// Size the payload up front (every legal mode is six digits), so a
+	// tree of any width is one allocation.
+	n := 0
 	for _, e := range t.entries {
-		dst = append(dst, e.Mode.String()...)
+		n += 6 + 1 + len(e.Name) + 1 + IDSize
+	}
+	dst = slices.Grow(dst, n)
+	for _, e := range t.entries {
+		dst = e.Mode.appendOctal(dst)
 		dst = append(dst, ' ')
 		dst = append(dst, e.Name...)
 		dst = append(dst, 0)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -176,6 +177,36 @@ func BenchmarkPackStorePutBatch(b *testing.B) {
 			}
 		})
 	}
+	// tree64: a batch of 64-entry trees, the objects a commit rebuilds
+	// and the kind written as stored blocks rather than deflated.
+	b.Run("tree64", func(b *testing.B) {
+		const trees, width = 8, 64
+		ps := newBenchPackStore(b)
+		entries := make([]object.TreeEntry, width)
+		for k := range entries {
+			entries[k] = object.TreeEntry{Name: fmt.Sprintf("entry-%02d.txt", k), Mode: object.ModeFile}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			batch := make([]Encoded, trees)
+			for j := range batch {
+				for k := range entries {
+					// Distinct IDs per entry and per tree, without hashing.
+					binary.BigEndian.PutUint64(entries[k].ID[:], uint64(i*trees+j))
+					entries[k].ID[8] = byte(k)
+				}
+				tr, err := object.NewTree(entries)
+				if err != nil {
+					b.Fatal(err)
+				}
+				enc := object.Encode(tr)
+				batch[j] = Encoded{ID: object.HashBytes(enc), Enc: enc}
+			}
+			if err := ps.PutManyEncoded(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkPackStoreGet(b *testing.B) {

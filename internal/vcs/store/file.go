@@ -50,24 +50,39 @@ func (s *FileStore) pathFor(id object.ID) string {
 // stripe returns the lock covering the object's fanout directory.
 func (s *FileStore) stripe(id object.ID) *sync.RWMutex { return &s.locks[id[0]] }
 
-// compressionLevel is the zlib level of every loose-object and pack-record
-// payload this process writes. It is a storage constant, not part of the
-// format: the payload is a plain zlib stream at any level, so readers,
-// Repack's byte-for-byte fold and repositories written at another level are
-// unaffected. BestSpeed because a write compresses on the caller's clock
-// and objects here are small (trees, commits, citation files): the default
-// level made a pack append take half as long again for 3–6 % fewer bytes on
-// disk (BENCH.md, PR 12).
-const compressionLevel = zlib.BestSpeed
+// compressionLevel picks the zlib level of a loose-object or pack-record
+// payload by the object's kind, which is the first word of its canonical
+// encoding. The writer picks; readers never branch on it: the payload is a
+// plain zlib stream at any level, so decompress, Repack's byte-for-byte fold
+// and repositories written at another level are unaffected.
+//
+//   - A blob (mostly citation.cite JSON) deflates to ~0.15 of its size, so it
+//     keeps BestSpeed: the default level made a pack append take half as long
+//     again for 3–6 % fewer bytes on disk (BENCH.md, PR 12).
+//   - A tree is mostly 32-byte object IDs and deflates only to ~0.80 of its
+//     size, a commit to ~0.74, while deflating them was 71 % of the
+//     compression time of a commit. They are written as stored blocks
+//     (NoCompression): the encoding itself behind 2 header bytes and 5
+//     bytes per ≤64 KB block, then an empty final block and a 4-byte
+//     Adler-32 (BENCH.md, PR 35).
+func compressionLevel(enc []byte) int {
+	if bytes.HasPrefix(enc, treePrefix) || bytes.HasPrefix(enc, commitPrefix) {
+		return zlib.NoCompression
+	}
+	return zlib.BestSpeed
+}
 
 var (
-	// zlibWriterPool recycles compressors across Puts; Reset re-targets a
-	// writer at a new destination buffer without reallocating its state.
-	// NewWriterLevel only fails for a level outside zlib's range.
-	zlibWriterPool = sync.Pool{New: func() any {
-		zw, _ := zlib.NewWriterLevel(io.Discard, compressionLevel)
-		return zw
-	}}
+	treePrefix   = []byte(object.TypeTree.String() + " ")
+	commitPrefix = []byte(object.TypeCommit.String() + " ")
+
+	// zlibWriterPools recycle compressors across Puts, indexed by the level
+	// compressionLevel returns; Reset re-targets a writer at a new
+	// destination buffer without reallocating its state.
+	zlibWriterPools = [...]sync.Pool{
+		zlib.NoCompression: {New: newZlibWriter(zlib.NoCompression)},
+		zlib.BestSpeed:     {New: newZlibWriter(zlib.BestSpeed)},
+	}
 	// compressBufPool recycles the destination buffers the compressed
 	// stream is staged in before the locked filesystem write.
 	compressBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -81,18 +96,29 @@ type zlibReader interface {
 	zlib.Resetter
 }
 
-// compress zlib-compresses enc into a pooled buffer. The caller must
-// return the buffer via compressBufPool.Put when done with its bytes.
+// newZlibWriter returns a sync.Pool constructor for writers at level.
+// NewWriterLevel only fails for a level outside zlib's range.
+func newZlibWriter(level int) func() any {
+	return func() any {
+		zw, _ := zlib.NewWriterLevel(io.Discard, level)
+		return zw
+	}
+}
+
+// compress zlib-compresses enc, at the level its kind calls for, into a
+// pooled buffer. The caller must return the buffer via compressBufPool.Put
+// when done with its bytes.
 func compress(enc []byte) (*bytes.Buffer, error) {
 	buf := compressBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	zw := zlibWriterPool.Get().(*zlib.Writer)
+	pool := &zlibWriterPools[compressionLevel(enc)]
+	zw := pool.Get().(*zlib.Writer)
 	zw.Reset(buf)
 	_, err := zw.Write(enc)
 	if cerr := zw.Close(); err == nil {
 		err = cerr
 	}
-	zlibWriterPool.Put(zw)
+	pool.Put(zw)
 	if err != nil {
 		compressBufPool.Put(buf)
 		return nil, fmt.Errorf("store: compress: %w", err)

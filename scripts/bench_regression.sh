@@ -6,12 +6,12 @@
 # Counters — the deterministic efficiency counters emitted by
 # `gitcite-bench -experiment counters` ("counter <name> = <integer>" lines).
 # Any counter that GREW fails the gate — these are pure deterministic counts
-# (store writes per commit, wire objects per sync, negotiate IDs, full-store
-# scans, index bytes per pack append batch, backend reads per cite of a
-# reopened repository), so growth is a real efficiency
-# regression, not runner noise. Counters present only in head are reported
-# as new (informational); counters present only in base fail, so a
-# regression cannot hide behind a counter rename. Pass "-" for both counter
+# (store writes per commit, pack bytes per one-file commit, wire objects per
+# sync, negotiate IDs, full-store scans, index bytes per pack append batch,
+# backend reads per cite of a reopened repository), so growth is a real
+# efficiency regression, not runner noise. Counters present only in head
+# are reported as new (informational); counters present only in base fail,
+# so a regression cannot hide behind a counter rename. Pass "-" for both counter
 # files to skip this gate (latency-only invocations).
 #
 # Latency — the flat lines gitcite-load prints ("latency <scenario>

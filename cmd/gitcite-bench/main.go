@@ -614,10 +614,11 @@ func runCounters() error {
 		fileMap[fmt.Sprintf("/d%d/s%d/f%d.txt", i%10, (i/10)%10, i)] = vcs.File(fmt.Sprintf("seed %d", i))
 	}
 	opts := vcs.CommitOptions{Author: vcs.Sig("bench", "bench@x", time.Unix(1, 0)), Message: "bench"}
-	// oneFileCommits builds the repository on objects, calls mark once it
-	// stands, then commits an edit of one file cCommits times.
-	oneFileCommits := func(objects store.Store, mark func() error) error {
-		repo := &vcs.Repository{Objects: objects, Refs: refs.NewMemoryStore()}
+	// oneFileCommits builds the repository on objects and rs, calls mark
+	// once it stands, then commits an edit of one file cCommits times,
+	// calling each after every commit.
+	oneFileCommits := func(objects store.Store, rs refs.Store, mark, each func() error) error {
+		repo := &vcs.Repository{Objects: objects, Refs: rs}
 		tip, err := repo.CommitFiles("main", fileMap, opts)
 		if err != nil {
 			return err
@@ -637,14 +638,18 @@ func runCounters() error {
 			if base, err = repo.TreeOf(tip); err != nil {
 				return err
 			}
+			if err := each(); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
+	nothing := func() error { return nil }
 	counting := &countingStore{Store: store.NewMemoryStore()}
-	err := oneFileCommits(counting, func() error {
+	err := oneFileCommits(counting, refs.NewMemoryStore(), func() error {
 		counting.puts.Store(0)
 		return nil
-	})
+	}, nothing)
 	if err != nil {
 		return err
 	}
@@ -658,6 +663,9 @@ func runCounters() error {
 	// The disk price of the records a commit writes, averaged (rounded
 	// down) over the same 20 commits on a PackStore: it moves only when
 	// what a commit writes, or how its records are compressed, changes.
+	// The same run, on a refs.FileStore, counts the commits after which
+	// refs/heads/main is a different file than before: a branch moves in
+	// place, so ref_file_replacements_per_one_file_commit should be 0.
 	packDir, err := os.MkdirTemp("", "gitcite-counters-packbytes-")
 	if err != nil {
 		return err
@@ -680,10 +688,34 @@ func runCounters() error {
 		return err
 	}
 	defer diskPack.Close()
-	var bytesBefore int64
-	err = oneFileCommits(diskPack, func() (err error) {
+	refsDir, err := os.MkdirTemp("", "gitcite-counters-refs-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(refsDir)
+	diskRefs, err := refs.NewFileStore(refsDir)
+	if err != nil {
+		return err
+	}
+	mainRef := filepath.Join(refsDir, "refs", "heads", "main")
+	var bytesBefore, replacements int64
+	var lastRef os.FileInfo
+	err = oneFileCommits(diskPack, diskRefs, func() (err error) {
+		if lastRef, err = os.Stat(mainRef); err != nil {
+			return err
+		}
 		bytesBefore, err = packBytes()
 		return err
+	}, func() error {
+		fi, err := os.Stat(mainRef)
+		if err != nil {
+			return err
+		}
+		if !os.SameFile(lastRef, fi) {
+			replacements++
+		}
+		lastRef = fi
+		return nil
 	})
 	if err != nil {
 		return err
@@ -693,6 +725,8 @@ func runCounters() error {
 		return err
 	}
 	emit("pack_bytes_per_one_file_commit", (bytesAfter-bytesBefore)/cCommits)
+	// Rounded up: a single replacement in the 20 commits reads as 1.
+	emit("ref_file_replacements_per_one_file_commit", (replacements+cCommits-1)/cCommits)
 
 	// --- store Puts per merge commit (1000-file repo, one file per side) ---
 	// Two branches each edit one file two directories down; MergeBranches

@@ -1,10 +1,12 @@
 package gitcite
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
+	"github.com/gitcite/gitcite/internal/vcs"
 	"github.com/gitcite/gitcite/internal/vcs/object"
 )
 
@@ -139,5 +141,149 @@ func TestFunctionAtIsolatedFromCache(t *testing.T) {
 	}
 	if sc, _ := shared.Get("/src"); sc.Owner != "srcdev" {
 		t.Errorf("cached function mutated: owner=%q", sc.Owner)
+	}
+}
+
+// TestConcurrentCommitsOnOneTip races two worktrees checked out at the same
+// tip of one branch: exactly one commit lands, the other gets
+// ErrStaleWorktree, and the branch holds the one that landed.
+func TestConcurrentCommitsOnOneTip(t *testing.T) {
+	r := newRepo(t)
+	seed, err := r.Checkout("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.WriteFile("/seed.txt", []byte("seed\n")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seed.Commit(opts("leshang", 1_500_000_000)); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 200; round++ {
+		var wts [2]*Worktree
+		for i := range wts {
+			if wts[i], err = r.Checkout("main"); err != nil {
+				t.Fatal(err)
+			}
+			if err := wts[i].WriteFile(fmt.Sprintf("/r%d/w%d.txt", round, i), []byte("x\n")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ids [2]object.ID
+		var errs [2]error
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range wts {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				ids[i], errs[i] = wts[i].Commit(opts("leshang", 1_500_000_001+int64(round)))
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		won := -1
+		for i, err := range errs {
+			switch {
+			case err == nil && won < 0:
+				won = i
+			case err == nil:
+				t.Fatalf("round %d: both commits on one tip succeeded", round)
+			case !errors.Is(err, ErrStaleWorktree):
+				t.Fatalf("round %d: losing commit: %v, want ErrStaleWorktree", round, err)
+			}
+		}
+		if won < 0 {
+			t.Fatalf("round %d: neither commit landed: %v", round, errs)
+		}
+		if tip, err := r.VCS.BranchTip("main"); err != nil || tip != ids[won] {
+			t.Fatalf("round %d: tip %s, %v; want the winner %s", round, tip.Short(), err, ids[won].Short())
+		}
+	}
+}
+
+// TestMergeRacingCommitKeepsCommit races MergeBranches into main against a
+// worktree commit on main, through a fast-forward and a merge commit: a
+// commit that succeeds is always in main's history afterwards, and a merge
+// that lost the race fails with vcs.ErrTipMoved.
+func TestMergeRacingCommitKeepsCommit(t *testing.T) {
+	for round := 0; round < 60; round++ {
+		fastForward := round%2 == 0
+		r := newRepo(t)
+		wt, err := r.Checkout("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wt.WriteFile("/base.txt", []byte("base\n")); err != nil {
+			t.Fatal(err)
+		}
+		base, err := wt.Commit(opts("leshang", 1_500_000_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.VCS.CreateBranch("side", base); err != nil {
+			t.Fatal(err)
+		}
+		side, err := r.Checkout("side")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := side.WriteFile("/side.txt", []byte("side\n")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := side.Commit(opts("leshang", 1_500_000_010)); err != nil {
+			t.Fatal(err)
+		}
+		if !fastForward {
+			if err := wt.WriteFile("/main.txt", []byte("main\n")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := wt.Commit(opts("leshang", 1_500_000_020)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := wt.WriteFile("/racer.txt", []byte("racer\n")); err != nil {
+			t.Fatal(err)
+		}
+
+		var commitID object.ID
+		var commitErr, mergeErr error
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			commitID, commitErr = wt.Commit(opts("leshang", 1_500_000_030))
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			_, mergeErr = r.MergeBranches("main", "side", MergeOptions{Commit: opts("leshang", 1_500_000_040)})
+		}()
+		close(start)
+		wg.Wait()
+
+		if mergeErr != nil && !errors.Is(mergeErr, vcs.ErrTipMoved) {
+			t.Fatalf("round %d: merge: %v", round, mergeErr)
+		}
+		if commitErr != nil {
+			if !errors.Is(commitErr, ErrStaleWorktree) {
+				t.Fatalf("round %d: commit: %v", round, commitErr)
+			}
+			if mergeErr != nil {
+				t.Fatalf("round %d: both the merge and the commit failed", round)
+			}
+			continue
+		}
+		tip, err := r.VCS.BranchTip("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := r.VCS.IsAncestor(commitID, tip); err != nil || !ok {
+			t.Fatalf("round %d (fast-forward %v): commit %s dropped from main (tip %s, merge err %v)",
+				round, fastForward, commitID.Short(), tip.Short(), mergeErr)
+		}
 	}
 }

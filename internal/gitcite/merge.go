@@ -46,7 +46,9 @@ type MergeResult struct {
 // citation.cite since it could leave the citation function inconsistent") —
 // instead the two citation functions are merged by union, entries for
 // merge-deleted files are dropped, and key conflicts go to the configured
-// strategy.
+// strategy. If dstBranch moves while the merge is being built, the merge
+// fails with an error wrapping vcs.ErrTipMoved and the branch keeps the
+// commit that moved it.
 func (r *Repo) MergeBranches(dstBranch, srcBranch string, opts MergeOptions) (MergeResult, error) {
 	dstTip, err := r.VCS.BranchTip(dstBranch)
 	if err != nil {
@@ -67,8 +69,9 @@ func (r *Repo) MergeBranches(dstBranch, srcBranch string, opts MergeOptions) (Me
 		return MergeResult{CommitID: dstTip, FastForward: true}, nil
 	}
 	if baseID == dstTip {
-		if err := r.VCS.Refs.Set("refs/heads/"+dstBranch, srcTip); err != nil {
-			return MergeResult{}, err
+		_, err := r.VCS.MoveBranchFrom(dstBranch, dstTip, func() (object.ID, error) { return srcTip, nil })
+		if err != nil {
+			return MergeResult{}, fmt.Errorf("gitcite: merge destination: %w", err)
 		}
 		return MergeResult{CommitID: srcTip, FastForward: true}, nil
 	}
@@ -162,11 +165,13 @@ func (r *Repo) MergeBranches(dstBranch, srcBranch string, opts MergeOptions) (Me
 	if err != nil {
 		return MergeResult{}, err
 	}
-	commitID, err := r.VCS.CommitTree(finalTree, []object.ID{dstTip, srcTip}, opts.Commit)
-	if err != nil {
-		return MergeResult{}, err
+	commitID, err := r.VCS.MoveBranchFrom(dstBranch, dstTip, func() (object.ID, error) {
+		return r.VCS.CommitTree(finalTree, []object.ID{dstTip, srcTip}, opts.Commit)
+	})
+	if errors.Is(err, vcs.ErrTipMoved) {
+		return MergeResult{}, fmt.Errorf("gitcite: merge destination: %w", err)
 	}
-	if err := r.VCS.Refs.Set("refs/heads/"+dstBranch, commitID); err != nil {
+	if err != nil {
 		return MergeResult{}, err
 	}
 	// Seed the read cache as Worktree.Commit does: the merge commit's first

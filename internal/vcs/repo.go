@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/gitcite/gitcite/internal/vcs/object"
@@ -18,6 +19,11 @@ import (
 type Repository struct {
 	Objects store.Store
 	Refs    refs.Store
+
+	// tipMu serialises the branch moves made through this handle, each
+	// from its tip read to its ref write (moveBranch), so two commits on
+	// one tip cannot both succeed.
+	tipMu sync.Mutex
 }
 
 // ErrNoCommits reports an operation that needs a commit on a branch that has
@@ -225,41 +231,61 @@ func (r *Repository) CommitTreeOnTip(branch string, expect, treeID object.ID, op
 }
 
 func (r *Repository) commitOnTip(branch string, treeID object.ID, opts CommitOptions, expect *object.ID) (object.ID, error) {
-	var parents []object.ID
-	tip, err := r.Refs.Get(refs.BranchRef(branch))
+	return r.moveBranch(branch, expect, func(tip object.ID) (object.ID, error) {
+		var parents []object.ID
+		if !tip.IsZero() {
+			parents = []object.ID{tip}
+		}
+		return r.CommitTree(treeID, parents, opts)
+	})
+}
+
+// MergeCommitOnBranch records a merge commit with the branch tip as first
+// parent and other as second, pointing at treeID, and advances the branch.
+func (r *Repository) MergeCommitOnBranch(branch string, treeID, other object.ID, opts CommitOptions) (object.ID, error) {
+	return r.moveBranch(branch, nil, func(tip object.ID) (object.ID, error) {
+		if tip.IsZero() {
+			return object.ZeroID, fmt.Errorf("vcs: merge target: %w: %s", refs.ErrNotFound, refs.BranchRef(branch))
+		}
+		return r.CommitTree(treeID, []object.ID{tip, other}, opts)
+	})
+}
+
+// MoveBranchFrom points branch at the commit next returns, provided the
+// branch still points at expect (zero: unborn); otherwise it fails with
+// ErrTipMoved and calls nothing. It is serialised with every commit and
+// move made through this repository handle, so a caller that read the tip
+// earlier — to merge it, say — cannot overwrite a commit that landed in
+// between. next runs under that serialisation, so it must not commit or
+// move a branch through r itself.
+func (r *Repository) MoveBranchFrom(branch string, expect object.ID, next func() (object.ID, error)) (object.ID, error) {
+	return r.moveBranch(branch, &expect, func(object.ID) (object.ID, error) { return next() })
+}
+
+// moveBranch reads branch's tip (zero: unborn), checks it against expect
+// when expect is non-nil (ErrTipMoved, nothing written, on a mismatch),
+// has next make the new tip from it and moves the ref there, all under
+// tipMu.
+func (r *Repository) moveBranch(branch string, expect *object.ID, next func(tip object.ID) (object.ID, error)) (object.ID, error) {
+	r.tipMu.Lock()
+	defer r.tipMu.Unlock()
+	name := refs.BranchRef(branch)
+	tip, err := r.Refs.Get(name)
 	switch {
 	case err == nil:
-		parents = []object.ID{tip}
 	case errors.Is(err, refs.ErrNotFound):
-		tip = object.ZeroID // unborn branch: root commit
+		tip = object.ZeroID
 	default:
 		return object.ZeroID, err
 	}
 	if expect != nil && tip != *expect {
 		return object.ZeroID, fmt.Errorf("%w: %s", ErrTipMoved, branch)
 	}
-	id, err := r.CommitTree(treeID, parents, opts)
+	id, err := next(tip)
 	if err != nil {
 		return object.ZeroID, err
 	}
-	if err := r.Refs.Set(refs.BranchRef(branch), id); err != nil {
-		return object.ZeroID, err
-	}
-	return id, nil
-}
-
-// MergeCommitOnBranch records a merge commit with the branch tip as first
-// parent and other as second, pointing at treeID, and advances the branch.
-func (r *Repository) MergeCommitOnBranch(branch string, treeID, other object.ID, opts CommitOptions) (object.ID, error) {
-	tip, err := r.Refs.Get(refs.BranchRef(branch))
-	if err != nil {
-		return object.ZeroID, fmt.Errorf("vcs: merge target: %w", err)
-	}
-	id, err := r.CommitTree(treeID, []object.ID{tip, other}, opts)
-	if err != nil {
-		return object.ZeroID, err
-	}
-	if err := r.Refs.Set(refs.BranchRef(branch), id); err != nil {
+	if err := r.Refs.Set(name, id); err != nil {
 		return object.ZeroID, err
 	}
 	return id, nil

@@ -22,6 +22,7 @@ targets=(
 	"FuzzWireNDJSON     ./internal/hosting"
 	"FuzzManifestReplay ./internal/hosting"
 	"FuzzCiteEntryCanonical ./internal/citefile"
+	"FuzzRefFile        ./internal/vcs/refs"
 )
 
 for t in "${targets[@]}"; do

@@ -4,10 +4,12 @@
 # CI entry point for the open-loop load harness.
 #
 # Default mode runs the deterministic smoke profile (fixed seed, a few
-# seconds per scenario) across the whole matrix, merges the latency section
-# into OUT_JSON (default BENCH_9.json, PR 9) and writes the flat latency
+# seconds per scenario) across the whole matrix and writes the flat latency
 # lines the regression gate parses to LATENCY_TXT (default
-# head-latency.txt).
+# head-latency.txt). Given an OUT_JSON, it also merges the latency section
+# into that file, labelled PR_NUM (required with OUT_JSON). CI passes the
+# uncommitted load-head.json / load-base.json and the PR's number; an empty
+# OUT_JSON writes no JSON, so no committed BENCH_<pr>.json is rewritten.
 #
 # --prove-gate is the self-test CI runs once per PR: it drives the registry
 # scenario clean and again with a 50 ms injected server delay, then asserts
@@ -40,10 +42,19 @@ if [ "${1:-}" = "--prove-gate" ]; then
   exit 0
 fi
 
-out_json=${1:-BENCH_9.json}
-pr_num=${2:-9}
+out_json=${1:-}
+pr_num=${2:-}
 latency_txt=${3:-head-latency.txt}
 
+out=()
+if [ -n "$out_json" ]; then
+  if [ -z "$pr_num" ]; then
+    echo "load_smoke.sh: OUT_JSON $out_json needs a PR_NUM" >&2
+    exit 2
+  fi
+  out=(-out "$out_json" -pr "$pr_num")
+fi
+
 echo "==> load smoke: full scenario matrix, smoke profile"
-go run ./cmd/gitcite-load -profile smoke -out "$out_json" -pr "$pr_num" | tee "$latency_txt"
-echo "==> wrote $out_json and $latency_txt"
+go run ./cmd/gitcite-load -profile smoke "${out[@]}" | tee "$latency_txt"
+echo "==> wrote ${out_json:+$out_json and }$latency_txt"

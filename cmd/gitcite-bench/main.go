@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/gitcite/gitcite/internal/citefile"
 	"github.com/gitcite/gitcite/internal/core"
 	"github.com/gitcite/gitcite/internal/extension"
 	"github.com/gitcite/gitcite/internal/format"
@@ -304,6 +305,38 @@ func (c *countingStore) PutMany(objs []object.Object) ([]object.ID, error) {
 func (c *countingStore) PutManyEncoded(batch []store.Encoded) error {
 	c.puts.Add(int64(len(batch)))
 	return store.PutManyEncoded(c.Store, batch)
+}
+
+// putLog records the ID of every object put through it, in order.
+type putLog struct {
+	store.Store
+	ids []object.ID
+}
+
+func (p *putLog) Put(o object.Object) (object.ID, error) {
+	id, err := p.Store.Put(o)
+	if err == nil {
+		p.ids = append(p.ids, id)
+	}
+	return id, err
+}
+
+func (p *putLog) PutMany(objs []object.Object) ([]object.ID, error) {
+	ids, err := store.PutMany(p.Store, objs)
+	if err == nil {
+		p.ids = append(p.ids, ids...)
+	}
+	return ids, err
+}
+
+func (p *putLog) PutManyEncoded(batch []store.Encoded) error {
+	err := store.PutManyEncoded(p.Store, batch)
+	if err == nil {
+		for _, e := range batch {
+			p.ids = append(p.ids, e.ID)
+		}
+	}
+	return err
 }
 
 // runCommit contrasts the two write paths on a -files-sized repository:
@@ -731,8 +764,9 @@ func runCounters() error {
 	// --- store Puts per merge commit (1000-file repo, one file per side) ---
 	// Two branches each edit one file two directories down; MergeBranches
 	// may write only what the merge changed in the destination: the
-	// directories on theirs' path, the root once for the file merge and
-	// once more with the merged citation.cite, that blob and the commit.
+	// directories on theirs' path, the root for the file merge, the merged
+	// citation.cite blob (ours', as neither side changed a citation, so the
+	// root stays as the file merge built it) and the commit.
 	mergeCounting := &countingStore{Store: store.NewMemoryStore()}
 	mergeRepo := &gitcite.Repo{
 		VCS:  &vcs.Repository{Objects: mergeCounting, Refs: refs.NewMemoryStore()},
@@ -758,8 +792,7 @@ func runCounters() error {
 	if err != nil {
 		return err
 	}
-	// Every version gets its own commit time, so each re-dates the root
-	// citation and writes a citation.cite of its own, as real ones do.
+	// Every version gets its own commit time, as real ones do.
 	at := func(unix int64) vcs.CommitOptions {
 		return vcs.CommitOptions{Author: vcs.Sig("bench", "bench@x", time.Unix(unix, 0)), Message: "bench"}
 	}
@@ -779,6 +812,57 @@ func runCounters() error {
 		return fmt.Errorf("merge counter: fast-forward %v, err %v", res.FastForward, err)
 	}
 	emit("store_puts_per_merge_commit", mergeCounting.puts.Load())
+
+	// --- citation.cite puts per code-only commit (1000-file repo) ---
+	// A citation-enabled repository (ten directories cited) takes one
+	// Worktree.Commit of a one-file edit, at a commit time of its own. The
+	// version changes no citation, so it writes no citation.cite: the
+	// root's date is the commit's, not the file's.
+	citeLog := &putLog{Store: store.NewMemoryStore()}
+	citeRepo := &gitcite.Repo{
+		VCS:  &vcs.Repository{Objects: citeLog, Refs: refs.NewMemoryStore()},
+		Meta: gitcite.Meta{Owner: "bench", Name: "cite", URL: "https://x/cite"},
+	}
+	cwt, err := citeRepo.Checkout("main")
+	if err != nil {
+		return err
+	}
+	for p, fc := range fileMap {
+		if err := cwt.WriteFile(p, fc.Data); err != nil {
+			return err
+		}
+	}
+	for d := 0; d < 10; d++ {
+		if err := cwt.AddCite(fmt.Sprintf("/d%d", d), core.Citation{Owner: "up", RepoName: fmt.Sprint("lib", d), URL: "https://x/up", Version: "1"}); err != nil {
+			return err
+		}
+	}
+	if _, err := cwt.Commit(at(2)); err != nil {
+		return err
+	}
+	citeLog.ids = nil
+	if err := cwt.WriteFile("/d3/s4/f430.txt", []byte("code only")); err != nil {
+		return err
+	}
+	codeOnly, err := cwt.Commit(at(3))
+	if err != nil {
+		return err
+	}
+	codeOnlyTree, err := citeRepo.VCS.TreeOf(codeOnly)
+	if err != nil {
+		return err
+	}
+	citeEntry, err := vcs.LookupPath(citeRepo.VCS.Objects, codeOnlyTree, citefile.Path)
+	if err != nil {
+		return err
+	}
+	var citePuts int64
+	for _, id := range citeLog.ids {
+		if id == citeEntry.ID {
+			citePuts++
+		}
+	}
+	emit("citefile_puts_per_code_only_commit", citePuts)
 
 	// --- wire objects per one-commit sync (HTTP, both directions) ---
 	local, err := gitcite.NewMemoryRepo(gitcite.Meta{Owner: "bench", Name: "repo", URL: "https://x/repo"})

@@ -11,7 +11,7 @@
 //	gitcite modify-cite -path P … | del-cite -path P
 //	gitcite cite -path P [-rev R] [-format text|bibtex|cff|json]   (GenCite)
 //	gitcite chain -path P [-rev R]                         (whole-path semantics)
-//	gitcite citefile [-rev R]                              (print citation.cite)
+//	gitcite citefile [-rev R]                              (print citation.cite as stored)
 //	gitcite repack                                         (fold loose objects into packs)
 //	gitcite merge -from BRANCH -author NAME [-strategy ours|theirs|newest|three-way]
 //	gitcite copy -src-dir DIR -src-path P -dst-path Q -author NAME  (CopyCite)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -126,6 +127,21 @@ func (f *Function) Assign(g *Function) {
 	f.mu.Lock()
 	f.entries, f.cow = entries, true
 	f.mu.Unlock()
+}
+
+// SharesEntries reports whether f and g hold one copy-on-write entry map:
+// one was cloned or assigned from the other and neither has been written to
+// since, so they are equal without a single entry being compared. It costs
+// O(1) whatever the size of the function; false says nothing about
+// equality.
+func (f *Function) SharesEntries(g *Function) bool {
+	f.mu.RLock()
+	fe := reflect.ValueOf(f.entries).UnsafePointer()
+	f.mu.RUnlock()
+	g.mu.RLock()
+	ge := reflect.ValueOf(g.entries).UnsafePointer()
+	g.mu.RUnlock()
+	return fe == ge
 }
 
 // prepareWriteLocked readies the function for a mutation: a shared

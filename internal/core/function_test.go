@@ -337,6 +337,41 @@ func TestCloneAndEqual(t *testing.T) {
 	}
 }
 
+// TestSharesEntries: clones and assignments share their source's entry map
+// until either side is written to, and any write — even one that leaves the
+// function equal — ends the sharing; equal functions built apart never share.
+func TestSharesEntries(t *testing.T) {
+	tree := demoTree()
+	f := MustNewFunction(named("r"))
+	if err := f.Add(tree, "/src", named("s")); err != nil {
+		t.Fatal(err)
+	}
+	g := f.Clone()
+	if !f.SharesEntries(g) || !g.SharesEntries(f) || !f.SharesEntries(f) {
+		t.Fatal("a clone does not share its source's entries")
+	}
+	if err := g.Modify("/src", named("s")); err != nil {
+		t.Fatal(err)
+	}
+	if f.SharesEntries(g) || !f.Equal(g) {
+		t.Error("a written clone still shares its source's entries, or a same-value write changed it")
+	}
+	g.Assign(f)
+	if !g.SharesEntries(f) {
+		t.Error("Assign does not share the assigned entries")
+	}
+	if err := f.Delete("/src"); err != nil {
+		t.Fatal(err)
+	}
+	if f.SharesEntries(g) || !g.Has("/src") {
+		t.Error("a write to the source is shared with, or reaches, its assignee")
+	}
+	h := MustNewFunction(named("r"))
+	if h.SharesEntries(MustNewFunction(named("r"))) {
+		t.Error("two functions built apart share entries")
+	}
+}
+
 func TestSetAddsOrReplaces(t *testing.T) {
 	tree := demoTree()
 	f := MustNewFunction(named("r"))

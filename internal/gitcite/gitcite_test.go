@@ -78,23 +78,30 @@ func TestCommitWritesCitationFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The stored root leaves the date to the commit.
 	root := fn.Root()
 	if root.Owner != "Leshang" || root.RepoName != "P1" {
 		t.Errorf("root = %+v", root)
 	}
-	if root.CommittedDate.IsZero() {
-		t.Error("root citation not stamped with commit date")
+	if !root.CommittedDate.IsZero() || root.Version != UnreleasedVersion {
+		t.Errorf("stored root carries a date, or not the unreleased marker: %+v", root)
 	}
-	if root.Version == UnreleasedVersion {
-		t.Error("committed root still marked unreleased")
-	}
-	// The raw file parses and contains the root key.
+	// The raw file parses, contains the root key and no date.
 	raw, err := r.CiteFileBytes(c1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"/"`) {
+	if !strings.Contains(string(raw), `"/"`) || strings.Contains(string(raw), "committedDate") {
 		t.Errorf("cite file:\n%s", raw)
+	}
+	// The generated root citation is dated from the commit, to the second,
+	// and names the version.
+	gen, from, err := r.Generate(c1, "/src/main.go")
+	if err != nil || from != "/" {
+		t.Fatalf("Generate: %v from %q, %v", gen, from, err)
+	}
+	if want := time.Unix(1_500_000_000, 0).UTC(); gen.CommittedDate != want || gen.Version != "" || gen.CommitID != c1.Short() {
+		t.Errorf("generated root = %+v, want date %v, no version, commit %s", gen, want, c1.Short())
 	}
 }
 
@@ -519,15 +526,37 @@ func TestWorktreeIsolatedFromLaterCommits(t *testing.T) {
 	if err := wt2.WriteFile("/f", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wt2.Commit(opts("b", 2)); err != nil {
-		t.Fatal(err)
-	}
-	// Historical version unchanged (immutability).
-	fn, err := r.FunctionAt(c1)
+	c2, err := wt2.Commit(opts("b", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fn.Root().CommittedDate.Unix() != 1 {
-		t.Errorf("historical root date = %v", fn.Root().CommittedDate)
+	// Historical version unchanged (immutability), and each version dated
+	// by its own commit although, no citation having changed, the two
+	// share one citation.cite.
+	for want, id := range map[int64]object.ID{1: c1, 2: c2} {
+		root, _, err := r.Generate(id, "/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if root.CommittedDate.Unix() != want {
+			t.Errorf("root date of %s = %v, want %d", id.Short(), root.CommittedDate, want)
+		}
 	}
+	if a, b := citeBlob(t, r, c1), citeBlob(t, r, c2); a != b {
+		t.Errorf("a file-only commit wrote a new citation.cite: %s -> %s", a.Short(), b.Short())
+	}
+}
+
+// citeBlob returns the object ID of a version's citation.cite.
+func citeBlob(t *testing.T, r *Repo, commit object.ID) object.ID {
+	t.Helper()
+	tree, err := r.VCS.TreeOf(commit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := vcs.LookupPath(r.VCS.Objects, tree, citefile.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.ID
 }

@@ -3,7 +3,6 @@ package gitcite
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/gitcite/gitcite/internal/citefile"
 	"github.com/gitcite/gitcite/internal/core"
@@ -123,15 +122,16 @@ func (r *Repo) MergeBranches(dstBranch, srcBranch string, opts MergeOptions) (Me
 	if err != nil {
 		return MergeResult{}, err
 	}
-	// The root citation's date is auto-managed version metadata (stamped on
-	// every commit), so two branches always disagree on it; normalise both
-	// sides to the merge commit's date before conflict detection. Real root
-	// differences (owner, repo name, authors, …) still conflict.
-	normalizeRootDate(ours, opts.Commit)
-	normalizeRootDate(theirs, opts.Commit)
+	// The root's date is the commit's, and versions written while commits
+	// still copied it into the file carry a date of their own, on which two
+	// branches always disagree; every side is normalised as Commit stores a
+	// root before conflict detection. Real root differences (owner, repo
+	// name, authors, …) still conflict.
+	undateRoot(ours)
+	undateRoot(theirs)
 	citeOpts := opts.Citations
 	if citeOpts.Base != nil {
-		normalizeRootDate(citeOpts.Base, opts.Commit)
+		undateRoot(citeOpts.Base)
 	}
 	if citeOpts.Base == nil && !baseID.IsZero() {
 		// A base without citations merges as no base; a base the store
@@ -143,7 +143,7 @@ func (r *Repo) MergeBranches(dstBranch, srcBranch string, opts MergeOptions) (Me
 			return MergeResult{}, err
 		default:
 			baseFn = baseFn.Clone()
-			normalizeRootDate(baseFn, opts.Commit)
+			undateRoot(baseFn)
 			citeOpts.Base = baseFn
 		}
 	}
@@ -155,8 +155,7 @@ func (r *Repo) MergeBranches(dstBranch, srcBranch string, opts MergeOptions) (Me
 
 	// Write the merged citation file into the merged tree and commit with
 	// both parents. Encoding reuses the bytes both sides memoised on the
-	// records they passed on; only settled conflicts and the re-dated root
-	// are marshalled.
+	// records they passed on; only settled conflicts are marshalled.
 	data, err := citefile.Encode(citeRes.Function, mergedTree.IsDir)
 	if err != nil {
 		return MergeResult{}, err
@@ -248,27 +247,12 @@ func (wt *Worktree) CopyCite(src *Repo, srcCommit object.ID, srcPath, dstPath st
 		}
 	}
 
-	// Then migrate the citations.
-	srcFn, err := src.FunctionAt(srcCommit)
+	// Then migrate the citations, the source root dated as its readers see
+	// it: a subtree that resolves to it is sealed with the version it names.
+	srcFn, err := src.DatedFunctionAt(srcCommit)
 	if err != nil {
 		return err
 	}
 	_, err = wt.fn.MigrateSubtree(srcFn, srcClean, dstClean, wt.Tree(), core.CopyOptions{Overwrite: true})
 	return err
-}
-
-// normalizeRootDate rewrites a function's root citation date to the merge
-// commit's time, to the second as Worktree.stampRoot does; see
-// MergeBranches. A zero commit time leaves the function untouched.
-func normalizeRootDate(fn *core.Function, opts vcs.CommitOptions) {
-	when := opts.Committer.When
-	if when.IsZero() {
-		when = opts.Author.When
-	}
-	if when.IsZero() {
-		return
-	}
-	root := fn.Root()
-	root.CommittedDate = when.UTC().Truncate(time.Second)
-	_ = fn.Modify("/", root)
 }

@@ -134,8 +134,10 @@ func (r *Repo) Close() error {
 	return r.VCS.Close()
 }
 
-// UnreleasedVersion marks the root citation of a working copy that has not
-// been committed yet; Commit replaces it with the version's real date.
+// UnreleasedVersion marks a root citation that carries neither a version nor
+// a date: a working copy's, or a committed version's, whose date is its
+// commit's. Readers of a committed version replace the marker with that date
+// (see DateRoot).
 const UnreleasedVersion = "unreleased"
 
 // DefaultRootCitation builds the default citation attached to every version
@@ -329,12 +331,52 @@ func nameVersion(cite *core.Citation, commitID object.ID, c *object.Commit) {
 	if cite.CommitID == "" {
 		cite.CommitID = commitID.Short()
 	}
-	if cite.CommittedDate.IsZero() {
-		cite.CommittedDate = c.Committer.When
+	DateRoot(cite, c)
+}
+
+// DateRoot dates a root citation read from a version's citation.cite with
+// the version's commit: its committer time, else its author time, in UTC to
+// the second. A stored date wins, so versions written when Commit still
+// copied the date into the file read as they always did; an undated root
+// takes the commit's date and loses the UnreleasedVersion marker. A commit
+// without a time leaves the citation as stored.
+func DateRoot(root *core.Citation, c *object.Commit) {
+	when := c.Committer.When
+	if when.IsZero() {
+		when = c.Author.When
+	}
+	if when.IsZero() || !root.CommittedDate.IsZero() {
+		return
+	}
+	root.CommittedDate = when.UTC().Truncate(time.Second)
+	if root.Version == UnreleasedVersion {
+		root.Version = ""
 	}
 }
 
-// CiteFileBytes returns the stored citation.cite contents of a commit.
+// DatedFunctionAt is FunctionAt with the root citation dated by DateRoot:
+// the version's citations as its readers see them, for a caller that carries
+// the root on — CopyCite seals a copied subtree with it.
+func (r *Repo) DatedFunctionAt(commitID object.ID) (*core.Function, error) {
+	c, err := r.VCS.Commit(commitID)
+	if err != nil {
+		return nil, err
+	}
+	fn, err := r.functionOf(c.TreeID)
+	if err != nil {
+		return nil, err
+	}
+	fn = fn.Clone()
+	root := fn.Root()
+	DateRoot(&root, c)
+	if err := fn.Modify("/", root); err != nil {
+		return nil, err
+	}
+	return fn, nil
+}
+
+// CiteFileBytes returns the stored citation.cite contents of a commit, as
+// stored: the root of a version Commit wrote has no date (see DateRoot).
 func (r *Repo) CiteFileBytes(commitID object.ID) ([]byte, error) {
 	treeID, err := r.VCS.TreeOf(commitID)
 	if err != nil {

@@ -47,6 +47,10 @@ type Worktree struct {
 	dirty   map[string]bool
 	removed map[string]bool
 	fn      *core.Function
+	// baseFn is the function base stores, shared with the repository's
+	// function cache; nil when base has no citation.cite (or is unborn).
+	// While fn still shares its entry map, no citation has changed.
+	baseFn *core.Function
 
 	// gen counts changes to the set of working paths (creations, removals,
 	// moves — not rewrites of an existing file); dirIndex/dirIndexGen
@@ -107,7 +111,7 @@ func (r *Repo) Checkout(branch string) (*Worktree, error) {
 	case errors.Is(err, ErrNotCitationEnabled):
 		wt.fn, err = core.NewFunction(r.DefaultRootCitation(nil, time.Time{}))
 	case err == nil:
-		wt.fn = fn.Clone()
+		wt.baseFn, wt.fn = fn, fn.Clone()
 	}
 	if err != nil {
 		return nil, err
@@ -356,30 +360,35 @@ var ErrStaleWorktree = errors.New("gitcite: worktree is stale: its branch moved 
 
 // Commit writes the working files plus the regenerated citation.cite as a
 // new version on the worktree's branch and re-bases the worktree onto it.
-// Before writing, entries for deleted paths are pruned and the function is
-// validated against the new tree, so every committed version satisfies the
-// model invariants. The branch must still be at the version the worktree
-// sits on; otherwise Commit fails with ErrStaleWorktree.
+// Before writing, entries for deleted paths are pruned, the root's date is
+// left to the commit (see undateRoot) and the function is validated against
+// the new tree, so every committed version satisfies the model invariants.
+// The branch must still be at the version the worktree sits on; otherwise
+// Commit fails with ErrStaleWorktree.
 //
 // Cost follows the change, not the repository. The new tree is built
-// incrementally: only the paths touched since checkout (plus the
-// regenerated citation.cite) re-hash, and subtrees the delta does not reach
-// reuse the base version's stored trees verbatim. The citation file is
-// assembled from per-entry bytes memoised on the function's records: only
-// entries edited since the last version (and the re-dated root) are
-// marshalled.
+// incrementally: only the paths touched since checkout (plus citation.cite,
+// if it changed) re-hash, and subtrees the delta does not reach reuse the
+// base version's stored trees verbatim. A commit that changed no citation
+// keeps the base version's citation.cite (see keepsCiteFile) and prunes,
+// validates and encodes nothing. Otherwise the citation file is assembled
+// from per-entry bytes memoised on the function's records: only entries
+// edited since the last version are marshalled.
 func (wt *Worktree) Commit(opts vcs.CommitOptions) (object.ID, error) {
-	wt.fn.Prune(wt.Tree())
-	wt.stampRoot(opts)
-	if err := wt.fn.Validate(wt.Tree()); err != nil {
-		return object.ZeroID, fmt.Errorf("gitcite: pre-commit validation: %w", err)
-	}
-	data, err := citefile.Encode(wt.fn, wt.Tree().IsDir)
-	if err != nil {
-		return object.ZeroID, err
-	}
 	edits, removed := wt.delta()
-	edits[citefile.Path] = vcs.TreeEdit{Data: data}
+	keep := wt.keepsCiteFile()
+	if !keep {
+		wt.fn.Prune(wt.Tree())
+		undateRoot(wt.fn)
+		if err := wt.fn.Validate(wt.Tree()); err != nil {
+			return object.ZeroID, fmt.Errorf("gitcite: pre-commit validation: %w", err)
+		}
+		data, err := citefile.Encode(wt.fn, wt.Tree().IsDir)
+		if err != nil {
+			return object.ZeroID, err
+		}
+		edits[citefile.Path] = vcs.TreeEdit{Data: data}
+	}
 
 	newTree, err := vcs.BuildTreeDelta(wt.repo.VCS.Objects, wt.baseTree, edits, removed)
 	if err != nil {
@@ -397,38 +406,64 @@ func (wt *Worktree) Commit(opts vcs.CommitOptions) (object.ID, error) {
 	wt.dirty = map[string]bool{}
 	wt.removed = map[string]bool{}
 	// Seed the repository's read cache, under the tree just built, with
-	// exactly what a cold load would decode from the bytes just written
-	// (the encoding normalises dates; the live wt.fn may hold sub-second
-	// precision the file cannot express) — without decoding them: the
-	// canonical function is made of the records Encode just memoised. The
-	// working function is re-based onto it, so the worktree reads as the
-	// version it now sits on and shares its storage. A file that would not
-	// decode only skips the seeding — readers fall back to loading on
-	// demand.
-	if canon, ok := citefile.Canonical(wt.fn); ok {
-		wt.fn.Assign(canon)
-		wt.repo.functionCache().seed(newTree, canon)
+	// exactly what a cold load would decode from the stored file. A kept
+	// file is the base version's, and so is its function. A new one is
+	// made of the records Encode just memoised, with no decoding (the
+	// encoding normalises dates; the live wt.fn may hold sub-second
+	// precision the file cannot express), and the working function is
+	// re-based onto it, so the worktree reads as the version it now sits
+	// on and shares its storage. A file that would not decode only skips
+	// the seeding — readers fall back to loading on demand.
+	if !keep {
+		wt.baseFn = nil
+		if canon, ok := citefile.Canonical(wt.fn); ok {
+			wt.fn.Assign(canon)
+			wt.baseFn = canon
+		}
+	}
+	if wt.baseFn != nil {
+		wt.repo.functionCache().seed(newTree, wt.baseFn)
 	}
 	return id, nil
 }
 
-// stampRoot dates the version's root citation with the commit time — the
-// paper's requirement that the root citation carry "the version number
-// and/or date" of the version it describes.
-func (wt *Worktree) stampRoot(opts vcs.CommitOptions) {
-	when := opts.Committer.When
-	if when.IsZero() {
-		when = opts.Author.When
+// keepsCiteFile reports whether the version being committed has exactly the
+// citations of the base version, whose citation.cite it can then keep: the
+// working function still shares the entry map of the function base stores,
+// so no operator has written to it; no path was removed, so no entry needs
+// pruning and no cited path changed kind (a tree cannot hold a path as a
+// file and a directory at once, so a flip needs a removal), which would
+// change its key; and base's root is already in the form Commit writes.
+func (wt *Worktree) keepsCiteFile() bool {
+	if wt.baseFn == nil || len(wt.removed) > 0 || !wt.fn.SharesEntries(wt.baseFn) {
+		return false
 	}
-	if when.IsZero() {
-		return
+	root := wt.baseFn.Root()
+	return !undate(&root)
+}
+
+// undateRoot leaves a function's root date to the commit: it strips the
+// date, which readers fill in from the version's commit (DateRoot), so a
+// version's citation.cite changes only when its citations do. A root left
+// with neither a version nor a date is marked UnreleasedVersion, as a
+// working copy's is, which keeps it valid.
+func undateRoot(fn *core.Function) {
+	root := fn.Root()
+	if undate(&root) {
+		// Modify cannot fail here: the root exists, and it stays valid (it
+		// keeps a version). Ignore the error defensively all the same.
+		_ = fn.Modify("/", root)
 	}
-	root := wt.fn.Root()
-	root.CommittedDate = when.UTC().Truncate(time.Second)
-	if root.Version == UnreleasedVersion {
-		root.Version = ""
+}
+
+// undate applies undateRoot's rule to a root citation, reporting whether
+// that changed it.
+func undate(root *core.Citation) bool {
+	changed := !root.CommittedDate.IsZero()
+	root.CommittedDate = time.Time{}
+	if root.Version == "" {
+		root.Version = UnreleasedVersion
+		changed = true
 	}
-	// Modify cannot fail here: the root exists and stays valid (it now has
-	// a date). Ignore the error defensively all the same.
-	_ = wt.fn.Modify("/", root)
+	return changed
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io/fs"
 	"net/http/httptest"
 	"os"
@@ -382,4 +383,89 @@ func TestGenerateDataDirV1(t *testing.T) {
 	data, err := json.MarshalIndent(listing, "", " ")
 	must(err)
 	must(os.WriteFile(filepath.Join(out, "listing.json"), append(data, '\n'), 0o644))
+}
+
+// TestDataDirV1CodeOnlyCommits commits twice to a copy of datadir-v1 on
+// top of a version whose citation.cite still dates its root, changing
+// nothing but a file each time: the first commit rewrites citation.cite,
+// once, to leave the date to the commit, and the second keeps that file.
+// Every format of every root answer at both commits carries that commit's
+// own date — the citation the stamped file would have given.
+func TestDataDirV1CodeOnlyCommits(t *testing.T) {
+	ctx := context.Background()
+	dir := filepath.Join(t.TempDir(), "platform")
+	copyDir(t, filepath.Join(datadirV1, "platform"), dir)
+	p, err := hosting.OpenPlatform(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	repo, release, err := p.AcquireRepo(ctx, "alice", "proj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	citeBlob := func(commit object.ID) object.ID {
+		t.Helper()
+		tree, err := repo.VCS.TreeOf(commit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := vcs.LookupPath(repo.VCS.Objects, tree, "/citation.cite")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.ID
+	}
+	stamped, err := repo.VCS.BranchTip("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := repo.CiteFileBytes(stamped); err != nil || !strings.Contains(string(raw), "committedDate") {
+		t.Fatalf("the fixture's main does not carry a stamped root: %v\n%s", err, raw)
+	}
+	// /README.md resolves to the root at every version of the fixture.
+	before, from, err := repo.Generate(stamped, "/README.md")
+	if err != nil || from != "/" {
+		t.Fatalf("fixture /README.md: from %q, %v", from, err)
+	}
+
+	wt, err := repo.Checkout("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := stamped
+	for i, when := range []time.Time{time.Unix(1_700_000_000, 0), time.Unix(1_700_200_000, 0)} {
+		if err := wt.WriteFile("/src/main.go", []byte(fmt.Sprintf("package main // %d\n", i))); err != nil {
+			t.Fatal(err)
+		}
+		id, err := wt.Commit(vcs.CommitOptions{Author: vcs.Sig("alice", "alice@x", when), Message: "code only"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rewrote := citeBlob(id) != citeBlob(parent); rewrote != (i == 0) {
+			t.Fatalf("commit %d rewrote citation.cite: %v, want %v", i, rewrote, i == 0)
+		}
+		got, from, err := repo.Generate(id, "/README.md")
+		if err != nil || from != "/" {
+			t.Fatalf("commit %d /README.md: from %q, %v", i, from, err)
+		}
+		want := before
+		want.CommittedDate, want.CommitID = when.UTC(), id.Short()
+		for _, f := range listingFormats {
+			text, err := format.Render(got, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantText, err := format.Render(want, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			day := when.UTC().Format("2006-01-02")
+			if text != wantText || !(strings.Contains(text, day) || strings.Contains(text, strings.ReplaceAll(day, "-", "/"))) {
+				t.Errorf("commit %d %s:\n%s\nwant the stamped version's citation dated %s:\n%s", i, f, text, day, wantText)
+			}
+		}
+		parent = id
+	}
 }

@@ -35,7 +35,8 @@ func citeOf(owner string) core.Citation {
 // and a fork of one, read at random versions and paths while every switch
 // of repository closes the previous handle and the cache's generations
 // rotate at random. Every GenCite answers what resolving through a cold
-// citefile.Decode of the version's stored file gives.
+// citefile.Decode of the version's stored file gives, a root answer dated
+// from the version's commit.
 func TestGenCiteUnderEvictionMatchesColdDecode(t *testing.T) {
 	ctx := context.Background()
 	p, err := OpenPlatform(t.TempDir(), WithOpenRepoLimit(1))
@@ -55,6 +56,7 @@ func TestGenCiteUnderEvictionMatchesColdDecode(t *testing.T) {
 	type version struct {
 		owner, name string
 		commit      object.ID
+		head        *object.Commit
 		cold        *core.Function
 	}
 	var versions []version
@@ -119,6 +121,9 @@ func TestGenCiteUnderEvictionMatchesColdDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		data, err := repo.CiteFileBytes(v.commit)
+		if err == nil {
+			v.head, err = repo.VCS.Commit(v.commit)
+		}
 		release()
 		if err != nil {
 			t.Fatal(err)
@@ -171,8 +176,16 @@ func TestGenCiteUnderEvictionMatchesColdDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wantFrom == "/" && want.CommitID == "" {
-				want.CommitID = v.commit.Short()
+			if wantFrom == "/" {
+				// Generate names the version a root answer comes from:
+				// its commit ID and date.
+				if want.CommitID == "" {
+					want.CommitID = v.commit.Short()
+				}
+				gitcite.DateRoot(&want, v.head)
+				if want.CommittedDate.IsZero() || want.Version == gitcite.UnreleasedVersion {
+					t.Fatalf("step %d: the root of %s is not dated from its commit: %+v", step, v.commit.Short(), want)
+				}
 			}
 			if from != wantFrom || !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: %s/%s@%s %s = %+v from %q, cold decode %+v from %q",

@@ -68,11 +68,11 @@ func Build(repo *gitcite.Repo, commit object.ID) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	treeID, err := repo.VCS.TreeOf(commit)
+	c, err := repo.VCS.Commit(commit)
 	if err != nil {
 		return nil, err
 	}
-	files, err := vcs.FlattenTree(repo.VCS.Objects, treeID)
+	files, err := vcs.FlattenTree(repo.VCS.Objects, c.TreeID)
 	if err != nil {
 		return nil, err
 	}
@@ -103,6 +103,10 @@ func Build(repo *gitcite.Repo, commit object.ID) (*Report, error) {
 
 	authorEntries := map[string]int{}
 	for _, pc := range fn.ActiveDomain() {
+		if pc.Path == "/" {
+			// The version's date is its commit's.
+			gitcite.DateRoot(&pc.Citation, c)
+		}
 		for _, a := range pc.Citation.AuthorList {
 			authorEntries[a]++
 		}

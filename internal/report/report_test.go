@@ -85,6 +85,10 @@ func TestBuildCounts(t *testing.T) {
 	if !byPath["/vendor/ext"].External || byPath["/src/a.go"].External || byPath["/"].External {
 		t.Error("External flags wrong")
 	}
+	// The root entry carries the version's date, read from its commit.
+	if root := byPath["/"].Citation; root.CommittedDate != time.Unix(1_600_000_000, 0).UTC() || root.Version != "" {
+		t.Errorf("root entry = %+v, want the commit's date and no version", root)
+	}
 	// 3 of 5 files under non-root entries.
 	if got := rep.CoverageFraction(); got < 0.59 || got > 0.61 {
 		t.Errorf("CoverageFraction = %v, want 0.6", got)

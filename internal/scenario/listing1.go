@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"github.com/gitcite/gitcite/internal/citefile"
 	"github.com/gitcite/gitcite/internal/core"
 	"github.com/gitcite/gitcite/internal/gitcite"
 	"github.com/gitcite/gitcite/internal/vcs"
@@ -54,15 +55,17 @@ type Listing1Result struct {
 	Demo *gitcite.Repo
 	// FinalCommit is the tip whose citation.cite reproduces Listing 1.
 	FinalCommit object.ID
-	// CiteFile is the final citation.cite contents.
+	// CiteFile is the final citation.cite with its root dated from the
+	// release commit, as the paper prints it.
 	CiteFile []byte
 	// Steps is the replay log.
 	Steps []string
 }
 
 // Listing1 reconstructs the paper's §4 demonstration scenario and returns
-// the final citation.cite, whose three entries ("/", "/CoreCover/",
-// "/citation/GUI/") carry exactly the paper's values.
+// the final citation.cite, root dated from the release commit, whose three
+// entries ("/", "/CoreCover/", "/citation/GUI/") carry exactly the paper's
+// values.
 //
 // The underlying commit hashes are necessarily our own (we rebuilt the
 // repositories from the paper's description), but the recorded citation
@@ -225,8 +228,17 @@ func Listing1() (*Listing1Result, error) {
 	}
 	res.Steps = append(res.Steps, "released the 2018-09-04 version (root entry bbd248a)")
 
-	res.CiteFile, err = demo.CiteFileBytes(res.FinalCommit)
+	// The stored file leaves the root's date to the release commit; the
+	// listing shows the file as a reader of the version sees it, dated.
+	fn, err := demo.DatedFunctionAt(res.FinalCommit)
 	if err != nil {
+		return nil, err
+	}
+	tree, err := demo.TreeAt(res.FinalCommit)
+	if err != nil {
+		return nil, err
+	}
+	if res.CiteFile, err = citefile.Encode(fn, tree.IsDir); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -235,28 +247,30 @@ func Listing1() (*Listing1Result, error) {
 // Check verifies the final citation function against the paper's Listing 1:
 // exactly the three entries with exactly the paper's values.
 func (r *Listing1Result) Check() ([]string, error) {
-	fn, err := r.Demo.FunctionAt(r.FinalCommit)
+	fn, err := r.Demo.DatedFunctionAt(r.FinalCommit)
 	if err != nil {
 		return nil, err
 	}
-	expect := map[string]core.Citation{
-		"/":             ListingRootCitation,
-		"/CoreCover":    ListingCoreCoverCitation,
-		"/citation/GUI": ListingGUICitation,
+	// In the listing's key order, so the replay prints the same lines on
+	// every run.
+	expect := []core.PathCitation{
+		{Path: "/", Citation: ListingRootCitation},
+		{Path: "/CoreCover", Citation: ListingCoreCoverCitation},
+		{Path: "/citation/GUI", Citation: ListingGUICitation},
 	}
 	if fn.Len() != len(expect) {
 		return nil, fmt.Errorf("scenario: listing1 has %d entries (%v), want %d", fn.Len(), fn.Paths(), len(expect))
 	}
 	var lines []string
-	for path, want := range expect {
-		got, err := fn.Get(path)
+	for _, want := range expect {
+		got, err := fn.Get(want.Path)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: listing1 missing entry %q", path)
+			return nil, fmt.Errorf("scenario: listing1 missing entry %q", want.Path)
 		}
-		if !got.Equal(want) {
-			return nil, fmt.Errorf("scenario: listing1 entry %q differs:\n got %+v\nwant %+v", path, got, want)
+		if !got.Equal(want.Citation) {
+			return nil, fmt.Errorf("scenario: listing1 entry %q differs:\n got %+v\nwant %+v", want.Path, got, want.Citation)
 		}
-		lines = append(lines, fmt.Sprintf("entry %-15q matches Listing 1 (owner %s, commit %s) ✓", path, got.Owner, got.CommitID))
+		lines = append(lines, fmt.Sprintf("entry %-15q matches Listing 1 (owner %s, commit %s) ✓", want.Path, got.Owner, got.CommitID))
 	}
 	return lines, nil
 }

@@ -115,9 +115,10 @@ type PackStore struct {
 	idxBytes atomic.Int64
 
 	// looseN caches the loose-object census so repack policies can consult
-	// it per push without a directory scan: counted once on first demand
-	// (this store never writes loose objects itself) and zeroed when
-	// Repack folds the loose tier in.
+	// it per push without a directory scan, and so a store with no loose
+	// objects never asks the loose tier about one: counted once on first
+	// demand (this store never writes loose objects itself) and zeroed
+	// when Repack folds the loose tier in.
 	looseOnce sync.Once
 	looseN    atomic.Int64
 }
@@ -656,7 +657,8 @@ func (s *PackStore) PutManyEncoded(batch []Encoded) error {
 		return nil
 	}
 	// Drop batch-internal duplicates and objects already stored loose (one
-	// batched presence query), so nothing lands in a pack twice.
+	// batched presence query, if there are loose objects at all), so
+	// nothing lands in a pack twice.
 	uniq := missing[:0:0]
 	seen := make(map[object.ID]bool, len(missing))
 	for _, e := range missing {
@@ -665,13 +667,16 @@ func (s *PackStore) PutManyEncoded(batch []Encoded) error {
 			uniq = append(uniq, e)
 		}
 	}
-	candidateIDs := make([]object.ID, len(uniq))
-	for i, e := range uniq {
-		candidateIDs[i] = e.ID
-	}
-	looseHave, err := s.loose.HasMany(candidateIDs)
-	if err != nil {
-		return err
+	looseHave := make([]bool, len(uniq))
+	if s.LooseCount() > 0 {
+		candidateIDs := make([]object.ID, len(uniq))
+		for i, e := range uniq {
+			candidateIDs[i] = e.ID
+		}
+		var err error
+		if looseHave, err = s.loose.HasMany(candidateIDs); err != nil {
+			return err
+		}
 	}
 	ids := make([]object.ID, 0, len(uniq))
 	compressed := make([][]byte, 0, len(uniq))
@@ -748,7 +753,9 @@ func (s *PackStore) readPacked(id object.ID, bufp *[]byte) (compressed []byte, f
 // outside the lock; loose objects read through the FileStore fallback. A
 // loose miss re-checks the packs once — a concurrent Repack may have
 // folded the object between the two lookups, and that move is the only way
-// a stored object relocates.
+// a stored object relocates. A store without loose objects skips the loose
+// lookup but keeps the re-check: its census may have reached zero in a
+// Repack that finished after the first one.
 func (s *PackStore) Get(id object.ID) (object.Object, error) {
 	bufp := packReadBufPool.Get().(*[]byte)
 	defer putPackReadBuf(bufp)
@@ -757,9 +764,11 @@ func (s *PackStore) Get(id object.ID) (object.Object, error) {
 		return nil, err
 	}
 	if !found {
-		o, err := s.loose.Get(id)
-		if !errors.Is(err, ErrNotFound) {
-			return o, err
+		if s.LooseCount() > 0 {
+			o, err := s.loose.Get(id)
+			if !errors.Is(err, ErrNotFound) {
+				return o, err
+			}
 		}
 		if compressed, found, err = s.readPacked(id, bufp); err != nil {
 			return nil, err
@@ -779,7 +788,8 @@ func (s *PackStore) Get(id object.ID) (object.Object, error) {
 }
 
 // Has implements Store. Like Get, a loose miss re-checks the packs so a
-// concurrent Repack's loose→pack move cannot produce a false negative.
+// concurrent Repack's loose→pack move cannot produce a false negative, and
+// a store without loose objects skips the loose lookup (see Get).
 func (s *PackStore) Has(id object.ID) (bool, error) {
 	s.mu.RLock()
 	_, ok := s.refs[id]
@@ -787,9 +797,11 @@ func (s *PackStore) Has(id object.ID) (bool, error) {
 	if ok {
 		return true, nil
 	}
-	ok, err := s.loose.Has(id)
-	if err != nil || ok {
-		return ok, err
+	if s.LooseCount() > 0 {
+		ok, err := s.loose.Has(id)
+		if err != nil || ok {
+			return ok, err
+		}
 	}
 	s.mu.RLock()
 	_, ok = s.refs[id]
@@ -798,7 +810,8 @@ func (s *PackStore) Has(id object.ID) (bool, error) {
 }
 
 // HasMany implements BatchStore: packed IDs answer from the in-memory map
-// under one lock acquisition; only the residue consults the loose store.
+// under one lock acquisition; only the residue consults the loose store,
+// and only if there are loose objects (see Get).
 func (s *PackStore) HasMany(ids []object.ID) ([]bool, error) {
 	have := make([]bool, len(ids))
 	var missIdx []int
@@ -814,13 +827,16 @@ func (s *PackStore) HasMany(ids []object.ID) ([]bool, error) {
 	if len(missIdx) == 0 {
 		return have, nil
 	}
-	missIDs := make([]object.ID, len(missIdx))
-	for j, i := range missIdx {
-		missIDs[j] = ids[i]
-	}
-	looseHave, err := s.loose.HasMany(missIDs)
-	if err != nil {
-		return nil, err
+	looseHave := make([]bool, len(missIdx))
+	if s.LooseCount() > 0 {
+		missIDs := make([]object.ID, len(missIdx))
+		for j, i := range missIdx {
+			missIDs[j] = ids[i]
+		}
+		var err error
+		if looseHave, err = s.loose.HasMany(missIDs); err != nil {
+			return nil, err
+		}
 	}
 	// Re-check the packs for loose misses under one lock: a concurrent
 	// Repack may have folded them between the two passes.

@@ -920,3 +920,81 @@ func TestPackStoreRejectsCorruptRecord(t *testing.T) {
 		t.Errorf("Get of corrupted record: err = %v, want corruption report", err)
 	}
 }
+
+// TestPackStoreAsksLooseTierOnlyWhenItHoldsObjects: a store opened with no
+// loose objects never looks one up — its loose tier is pointed at a path
+// under a regular file, where any lookup fails with ENOTDIR, and puts, Has,
+// HasMany and Get misses all still succeed. A store that does hold loose
+// objects still asks that tier on each of them.
+func TestPackStoreAsksLooseTierOnlyWhenItHoldsObjects(t *testing.T) {
+	blob := func(s string) Encoded {
+		enc := object.Encode(object.NewBlobString(s))
+		return Encoded{ID: object.HashBytes(enc), Enc: enc}
+	}
+	missing := blob("never stored").ID
+	open := func(t *testing.T, loose bool) *PackStore {
+		t.Helper()
+		dir := t.TempDir()
+		if loose {
+			fs, err := NewFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.Put(object.NewBlobString("stored loose")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := NewPackStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		if got, want := s.LooseCount(), map[bool]int{false: 0, true: 1}[loose]; got != want {
+			t.Fatalf("LooseCount = %d, want %d", got, want)
+		}
+		poison := filepath.Join(t.TempDir(), "not-a-dir")
+		if err := os.WriteFile(poison, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s.loose = &FileStore{root: poison}
+		return s
+	}
+
+	t.Run("no loose objects", func(t *testing.T) {
+		s := open(t, false)
+		for i := 0; i < 3; i++ {
+			batch := []Encoded{blob(fmt.Sprint("a", i)), blob(fmt.Sprint("b", i))}
+			if err := s.PutManyEncoded(batch); err != nil {
+				t.Fatalf("put %d asked the loose tier: %v", i, err)
+			}
+			if ok, err := s.Has(batch[0].ID); !ok || err != nil {
+				t.Fatalf("Has of a put object: %v, %v", ok, err)
+			}
+		}
+		if ok, err := s.Has(missing); ok || err != nil {
+			t.Errorf("Has miss: %v, %v; want false and no loose lookup", ok, err)
+		}
+		if have, err := s.HasMany([]object.ID{missing, blob("a0").ID}); err != nil || have[0] || !have[1] {
+			t.Errorf("HasMany with a miss: %v, %v; want [false true] and no loose lookup", have, err)
+		}
+		if _, err := s.Get(missing); err != ErrNotFound {
+			t.Errorf("Get miss: %v, want ErrNotFound and no loose lookup", err)
+		}
+	})
+
+	t.Run("loose objects", func(t *testing.T) {
+		s := open(t, true)
+		if err := s.PutManyEncoded([]Encoded{blob("c")}); err == nil {
+			t.Error("put did not ask the loose tier")
+		}
+		if _, err := s.Has(missing); err == nil {
+			t.Error("Has miss did not ask the loose tier")
+		}
+		if _, err := s.HasMany([]object.ID{missing}); err == nil {
+			t.Error("HasMany miss did not ask the loose tier")
+		}
+		if _, err := s.Get(missing); err == nil || err == ErrNotFound {
+			t.Errorf("Get miss did not ask the loose tier: %v", err)
+		}
+	})
+}

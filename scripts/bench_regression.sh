@@ -7,9 +7,10 @@
 # `gitcite-bench -experiment counters` ("counter <name> = <integer>" lines).
 # Any counter that GREW fails the gate — these are pure deterministic counts
 # (store writes per commit, pack bytes per one-file commit, ref files
-# replaced per one-file commit, wire objects per sync, negotiate IDs,
-# full-store scans, index bytes per pack append batch, backend reads per
-# cite of a reopened repository), so growth is a real
+# replaced per one-file commit, citation.cite blobs written per code-only
+# commit (citefile_puts_per_code_only_commit), wire objects per sync,
+# negotiate IDs, full-store scans, index bytes per pack append batch,
+# backend reads per cite of a reopened repository), so growth is a real
 # efficiency regression, not runner noise. Counters present only in head
 # are reported as new (informational); counters present only in base fail,
 # so a regression cannot hide behind a counter rename. Pass "-" for both counter

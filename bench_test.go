@@ -588,7 +588,7 @@ const syncDeltaBound = 3 + 2 + 1
 // BenchmarkSyncFetchOneCommit measures the incremental pull of exactly one
 // new commit on a 1000-file repository: negotiate + streamed delta. Every
 // iteration asserts the wire carries at most syncDeltaBound objects —
-// O(delta), against the ~2100-object full closure the legacy pull moves.
+// O(delta), against the ~2100-object full closure a cold clone streams.
 func BenchmarkSyncFetchOneCommit(b *testing.B) {
 	owner, local, wt, clone, _, closeFn := newSyncBench(b)
 	defer closeFn()
@@ -644,31 +644,6 @@ func BenchmarkSyncPushOneCommit(b *testing.B) {
 			b.Fatalf("push moved %d wire objects for one commit, want ≤ %d", n, syncDeltaBound)
 		}
 		wire += n
-	}
-	b.ReportMetric(float64(wire)/float64(b.N), "wireobjs/op")
-}
-
-// BenchmarkPullFullClosureLegacy is the pre-v1 baseline the sync benches
-// are judged against: the deprecated pull endpoint re-downloads the whole
-// closure as one in-memory JSON array every time.
-func BenchmarkPullFullClosureLegacy(b *testing.B) {
-	_, _, _, _, baseURL, closeFn := newSyncBench(b)
-	defer closeFn()
-	url := baseURL + "/api/repos/bench/repo/pull/main"
-	wire := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := http.Get(url)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var pull hosting.PullResponse
-		err = json.NewDecoder(resp.Body).Decode(&pull)
-		resp.Body.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		wire += len(pull.Objects)
 	}
 	b.ReportMetric(float64(wire)/float64(b.N), "wireobjs/op")
 }
@@ -755,7 +730,7 @@ func newBenchServer(b *testing.B) (*extension.Client, func()) {
 	if _, err := wt.Commit(vcs.CommitOptions{Author: vcs.Sig("bench", "b@x", time.Unix(1, 0)), Message: "seed"}); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := owner.Push(local, "bench", "repo", "main"); err != nil {
+	if _, err := owner.Sync(local, "bench", "repo", "main"); err != nil {
 		b.Fatal(err)
 	}
 	return owner, ts.Close

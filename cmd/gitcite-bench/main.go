@@ -145,6 +145,13 @@ func runArchitecture() error {
 	}
 	platform := hosting.NewPlatform()
 	server := hosting.NewServer(platform)
+	// A stepped fixed clock for the remote AddCite, so the replay prints
+	// the same commit IDs on every run.
+	clock := time.Date(2018, 9, 4, 9, 0, 0, 0, time.UTC)
+	server.Now = func() time.Time {
+		clock = clock.Add(time.Minute)
+		return clock
+	}
 	ts := httptest.NewServer(server)
 	defer ts.Close()
 
@@ -157,7 +164,7 @@ func runArchitecture() error {
 	if err := owner.CreateRepo("Data_citation_demo", res.Demo.Meta.URL, ""); err != nil {
 		return err
 	}
-	n, err := owner.Push(res.Demo, "yinjun", "Data_citation_demo", "master")
+	n, err := owner.Sync(res.Demo, "yinjun", "Data_citation_demo", "master")
 	if err != nil {
 		return err
 	}
@@ -178,7 +185,7 @@ func runArchitecture() error {
 	}
 	fmt.Printf("  extension AddCite committed remotely: %.7s\n", commit)
 
-	tip, err := owner.Pull(res.Demo, "yinjun", "Data_citation_demo", "master", "master")
+	tip, _, err := owner.Fetch(res.Demo, "yinjun", "Data_citation_demo", "master", "master")
 	if err != nil {
 		return err
 	}
@@ -221,7 +228,7 @@ func runConcurrent() error {
 	if err := owner.CreateRepo("Data_citation_demo", res.Demo.Meta.URL, ""); err != nil {
 		return err
 	}
-	if _, err := owner.Push(res.Demo, "yinjun", "Data_citation_demo", "master"); err != nil {
+	if _, err := owner.Sync(res.Demo, "yinjun", "Data_citation_demo", "master"); err != nil {
 		return err
 	}
 	paths := []string{

@@ -130,7 +130,7 @@ func TestPublicAPIHosting(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := owner.Push(local, "alice", "proj", "main"); err != nil {
+	if _, err := owner.Sync(local, "alice", "proj", "main"); err != nil {
 		t.Fatal(err)
 	}
 

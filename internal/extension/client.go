@@ -894,25 +894,6 @@ func (c *Client) Fetch(local *gitcite.Repo, owner, repo, rev, localBranch string
 	return tip, n, nil
 }
 
-// Push uploads a local branch and advances the remote branch (fast-forward
-// only).
-//
-// Deprecated: Push is Sync under its pre-v1 name; new code should call Sync
-// and use the transferred-object count it reports.
-func (c *Client) Push(local *gitcite.Repo, owner, repo, branch string) (int, error) {
-	return c.Sync(local, owner, repo, branch)
-}
-
-// Pull downloads a remote revision's objects into the local repository and
-// points localBranch at it.
-//
-// Deprecated: Pull is Fetch without the transfer count; new code should
-// call Fetch.
-func (c *Client) Pull(local *gitcite.Repo, owner, repo, rev, localBranch string) (object.ID, error) {
-	tip, _, err := c.Fetch(local, owner, repo, rev, localBranch)
-	return tip, err
-}
-
 // Clone creates a fresh local citation-enabled repository tracking a remote
 // branch.
 func (c *Client) Clone(owner, repo, rev string) (*gitcite.Repo, error) {

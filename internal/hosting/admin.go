@@ -17,16 +17,6 @@ func WithAdminToken(token string) ServerOption {
 	return func(s *Server) { s.adminToken = token }
 }
 
-// registerAdminRoutes mounts the admin group. Routes exist regardless of
-// configuration so their status codes are stable; requireAdmin gates them.
-func (s *Server) registerAdminRoutes(mux *http.ServeMux) {
-	mux.HandleFunc("GET /api/v1/admin/status", s.adminOnly(s.handleAdminStatus))
-	mux.HandleFunc("GET /api/v1/admin/repos/{owner}/{name}/stats", s.adminOnly(s.handleAdminRepoStats))
-	mux.HandleFunc("POST /api/v1/admin/repos/{owner}/{name}/repack", s.adminOnly(s.handleAdminRepack))
-	mux.HandleFunc("POST /api/v1/admin/gc", s.adminOnly(s.handleAdminGC))
-	mux.HandleFunc("POST /api/v1/admin/promote", s.adminOnly(s.handleAdminPromote))
-}
-
 // adminOnly wraps an admin handler with the token gate: disabled group →
 // 403, missing or wrong token → 401. The comparison is constant-time.
 func (s *Server) adminOnly(h http.HandlerFunc) http.HandlerFunc {

@@ -2,7 +2,6 @@ package hosting
 
 import (
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,13 +25,12 @@ import (
 
 // Server exposes a Platform over HTTP — the REST API the paper's browser
 // extension uses ("The extension communicates with the GitHub servers using
-// its REST API"). The surface is versioned under /api/v1; the unversioned
-// /api routes are deprecated aliases for pre-v1 clients. Requests flow
-// through the middleware chain (logging → CORS → rate limit → auth) before
-// reaching the router.
+// its REST API"). The surface is versioned under /api/v1 and declared in
+// one table (routes.go), whose kinds decide each route's replica, admin and
+// rate-limit policy. Requests flow through the middleware chain (logging →
+// CORS → rate limit → auth) before reaching the router.
 type Server struct {
 	platform *Platform
-	mux      *http.ServeMux
 	handler  http.Handler
 	// Now supplies commit timestamps for server-side citation edits;
 	// overridable for deterministic tests and experiments.
@@ -55,63 +53,33 @@ type Server struct {
 }
 
 // NewServer wraps a platform with the REST API. Options configure the
-// middleware chain (CORS origin, rate limiting, request logging).
+// middleware chain (CORS origin, rate limiting, request logging). One loop
+// registers the route table: write routes go through mutating, admin routes
+// through adminOnly, and probe paths bypass the rate limiter.
 func NewServer(p *Platform, opts ...ServerOption) *Server {
 	s := &Server{platform: p, Now: time.Now, corsOrigin: "*"}
 	for _, o := range opts {
 		o(s)
 	}
 	mux := http.NewServeMux()
-	// ---- v1 ----
-	// Write routes go through s.mutating: on a replica (WithReplicaMode)
-	// they answer 307 → primary instead of dispatching. Negotiate and
-	// objects are POST but read-only — they stay served locally.
-	mux.HandleFunc("POST /api/v1/users", s.mutating(s.handleCreateUser))
-	mux.HandleFunc("POST /api/v1/repos", s.mutating(s.handleCreateRepo))
-	mux.HandleFunc("GET /api/v1/repos/{owner}/{name}", s.handleGetRepo)
-	mux.HandleFunc("POST /api/v1/repos/{owner}/{name}/members", s.mutating(s.handleAddMember))
-	mux.HandleFunc("GET /api/v1/repos/{owner}/{name}/tree/{rev}", s.handleTreeV1)
-	mux.HandleFunc("GET /api/v1/repos/{owner}/{name}/cite/{rev}", s.handleGenCite)
-	mux.HandleFunc("GET /api/v1/repos/{owner}/{name}/chain/{rev}", s.handleChain)
-	mux.HandleFunc("GET /api/v1/repos/{owner}/{name}/citefile/{rev}", s.handleCiteFile)
-	mux.HandleFunc("GET /api/v1/repos/{owner}/{name}/credit/{rev}", s.handleCredit)
-	mux.HandleFunc("POST /api/v1/repos/{owner}/{name}/cite", s.mutating(s.handleEditCite))
-	mux.HandleFunc("PUT /api/v1/repos/{owner}/{name}/cite", s.mutating(s.handleEditCite))
-	mux.HandleFunc("DELETE /api/v1/repos/{owner}/{name}/cite", s.mutating(s.handleEditCite))
-	mux.HandleFunc("POST /api/v1/repos/{owner}/{name}/fork", s.mutating(s.handleFork))
-	mux.HandleFunc("POST /api/v1/repos/{owner}/{name}/negotiate", s.handleNegotiate)
-	mux.HandleFunc("POST /api/v1/repos/{owner}/{name}/objects", s.handleFetchObjects)
-	mux.HandleFunc("POST /api/v1/repos/{owner}/{name}/push", s.mutating(s.handlePushV1))
-	mux.HandleFunc("GET /api/v1/repos/{owner}/{name}/pull/{rev}", s.handlePullV1)
-	// ---- replication feed (admin-token gated: user tokens travel) ----
-	mux.HandleFunc("GET /api/v1/events", s.adminOnly(s.handleEvents))
-	mux.HandleFunc("GET /api/v1/replica/snapshot", s.adminOnly(s.handleSnapshot))
-	// ---- admin (token-gated; see admin.go) ----
-	s.registerAdminRoutes(mux)
-	// ---- health probes (no token; see health.go) ----
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	// ---- deprecated unversioned aliases (pre-v1 wire protocol) ----
-	mux.HandleFunc("POST /api/users", s.mutating(s.handleCreateUser))
-	mux.HandleFunc("POST /api/repos", s.mutating(s.handleCreateRepo))
-	mux.HandleFunc("GET /api/repos/{owner}/{name}", s.handleGetRepo)
-	mux.HandleFunc("POST /api/repos/{owner}/{name}/members", s.mutating(s.handleAddMember))
-	mux.HandleFunc("GET /api/repos/{owner}/{name}/tree/{rev}", s.handleTreeLegacy)
-	mux.HandleFunc("GET /api/repos/{owner}/{name}/cite/{rev}", s.handleGenCite)
-	mux.HandleFunc("GET /api/repos/{owner}/{name}/chain/{rev}", s.handleChain)
-	mux.HandleFunc("GET /api/repos/{owner}/{name}/citefile/{rev}", s.handleCiteFile)
-	mux.HandleFunc("GET /api/repos/{owner}/{name}/credit/{rev}", s.handleCredit)
-	mux.HandleFunc("POST /api/repos/{owner}/{name}/cite", s.mutating(s.handleEditCite))
-	mux.HandleFunc("PUT /api/repos/{owner}/{name}/cite", s.mutating(s.handleEditCite))
-	mux.HandleFunc("DELETE /api/repos/{owner}/{name}/cite", s.mutating(s.handleEditCite))
-	mux.HandleFunc("POST /api/repos/{owner}/{name}/fork", s.mutating(s.handleFork))
-	mux.HandleFunc("POST /api/repos/{owner}/{name}/push", s.mutating(s.handlePushLegacy))
-	mux.HandleFunc("GET /api/repos/{owner}/{name}/pull/{rev}", s.handlePullLegacy)
-	s.mux = mux
+	var probes []string
+	for _, rt := range s.routes() {
+		h := rt.handler
+		switch rt.kind {
+		case kindWrite:
+			h = s.mutating(h)
+		case kindAdmin:
+			h = s.adminOnly(h)
+		case kindProbe:
+			_, path, _ := strings.Cut(rt.pattern, " ")
+			probes = append(probes, path)
+		}
+		mux.HandleFunc(rt.pattern, h)
+	}
 	var h http.Handler = mux
 	h = s.withReplicaHeaders(h)
 	h = s.withAuth(h)
-	h = s.withRateLimit(h)
+	h = s.withRateLimit(h, probes)
 	h = s.withCORS(h)
 	h = s.withLogging(h)
 	s.handler = h
@@ -205,19 +173,6 @@ type ForkRequest struct {
 	NewName string `json:"newName,omitempty"`
 }
 
-// WireObject is one canonical object encoding in a deprecated push/pull
-// payload (v1 streams objectLine values instead).
-type WireObject struct {
-	Data string `json:"data"` // base64 of the canonical encoding
-}
-
-// PushRequest is the deprecated whole-closure upload body.
-type PushRequest struct {
-	Branch  string       `json:"branch"`
-	Tip     string       `json:"tip"` // full hex commit ID
-	Objects []WireObject `json:"objects"`
-}
-
 // PushResponse reports how many objects the server stored. Seq and Epoch
 // locate the acknowledging ref event on the replication feed, so a
 // failover-aware client can hold reads to the primary until a replica's
@@ -227,12 +182,6 @@ type PushResponse struct {
 	Tip    string `json:"tip"`
 	Seq    int64  `json:"seq,omitempty"`
 	Epoch  string `json:"epoch,omitempty"`
-}
-
-// PullResponse is the deprecated whole-closure download body.
-type PullResponse struct {
-	Tip     string       `json:"tip"`
-	Objects []WireObject `json:"objects"`
 }
 
 // ---- helpers ----
@@ -551,21 +500,6 @@ func (s *Server) handleTreeV1(w http.ResponseWriter, r *http.Request) {
 		page.NextCursor = strconv.Itoa(offset + len(entries))
 	}
 	writeJSON(w, http.StatusOK, page)
-}
-
-// handleTreeLegacy serves the deprecated unpaginated array form.
-func (s *Server) handleTreeLegacy(w http.ResponseWriter, r *http.Request) {
-	repo, commit, release, ok := s.beginCommitRead(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	entries, _, err := treeEntries(repo, commit, 0, 0)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, entries)
 }
 
 // ---- citation reads ----
@@ -1007,56 +941,6 @@ func (s *Server) handlePushV1(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handlePushLegacy adapts the deprecated whole-array JSON body onto the same
-// validated push core as v1.
-func (s *Server) handlePushLegacy(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	var req PushRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	owner, name := r.PathValue("owner"), r.PathValue("name")
-	repo, release, err := s.platform.AcquireForWrite(ctx, userFrom(ctx), owner, name)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	defer release()
-	tip, err := object.ParseID(req.Tip)
-	if err != nil {
-		writeErr(w, fmt.Errorf("%w: bad tip: %v", ErrBadRequest, err))
-		return
-	}
-	batch := make([]store.Encoded, 0, len(req.Objects))
-	objs := make(map[object.ID]object.Object, len(req.Objects))
-	for _, wo := range req.Objects {
-		enc, err := base64.StdEncoding.DecodeString(wo.Data)
-		if err != nil {
-			writeErr(w, fmt.Errorf("%w: bad object payload: %v", ErrBadRequest, err))
-			return
-		}
-		o, err := object.Decode(enc)
-		if err != nil {
-			writeErr(w, fmt.Errorf("%w: bad object: %v", ErrBadRequest, err))
-			return
-		}
-		id := object.HashBytes(enc)
-		if _, dup := objs[id]; dup {
-			continue
-		}
-		objs[id] = o
-		batch = append(batch, store.Encoded{ID: id, Enc: enc, Obj: o})
-	}
-	resp, err := s.applyPush(ctx, repo, owner, name, req.Branch, tip, batch, objs)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	s.platform.maybeAutoRepack(owner, name)
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // ---- pull ----
 
 // handlePullV1 streams a revision's full reachable closure: a PullHeader
@@ -1095,23 +979,4 @@ func (s *Server) handlePullV1(w http.ResponseWriter, r *http.Request) {
 		return // mid-stream failure: abort the connection, client's decode fails
 	}
 	_ = sw.Flush()
-}
-
-// handlePullLegacy serves the deprecated whole-array JSON closure download.
-func (s *Server) handlePullLegacy(w http.ResponseWriter, r *http.Request) {
-	repo, commit, release, ok := s.beginCommitRead(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	resp := PullResponse{Tip: commit.String()}
-	err := store.WalkClosure(repo.VCS.Objects, func(_ object.ID, o object.Object) error {
-		resp.Objects = append(resp.Objects, WireObject{Data: base64.StdEncoding.EncodeToString(object.Encode(o))})
-		return nil
-	}, commit)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -1,7 +1,7 @@
 // Tests for the replication surface on the primary side — the events feed
 // (ordering, cursors, long-poll wake-up, reset signalling), the snapshot
 // bootstrap, the admin gating of both, and the read-only replica serving
-// mode (307 + replica_read_only on every write route).
+// mode (307 + replica_read_only on every write route of the route table).
 package hosting_test
 
 import (
@@ -208,22 +208,12 @@ func TestReplicaModeRedirectsWrites(t *testing.T) {
 		hosting.WithReplicaMode("http://primary.example:8080/", nil)))
 	defer replicaSrv.Close()
 
-	writes := []struct{ method, path string }{
-		{"POST", "/api/v1/users"},
-		{"POST", "/api/v1/repos"},
-		{"POST", "/api/v1/repos/leshang/P1/members"},
-		{"POST", "/api/v1/repos/leshang/P1/cite"},
-		{"PUT", "/api/v1/repos/leshang/P1/cite"},
-		{"DELETE", "/api/v1/repos/leshang/P1/cite"},
-		{"POST", "/api/v1/repos/leshang/P1/fork"},
-		{"POST", "/api/v1/repos/leshang/P1/push"},
-		{"POST", "/api/repos/leshang/P1/push"}, // legacy routes redirect too
-	}
 	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
 		return http.ErrUseLastResponse
 	}}
-	for _, wr := range writes {
-		req, err := http.NewRequest(wr.method, replicaSrv.URL+wr.path+"?q=1", strings.NewReader("{}"))
+	for _, rt := range routesOfKind(t, "write") {
+		path := fillPath(rt.Path)
+		req, err := http.NewRequest(rt.Method, replicaSrv.URL+path+"?q=1", strings.NewReader("{}"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,15 +225,35 @@ func TestReplicaModeRedirectsWrites(t *testing.T) {
 		err = json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusTemporaryRedirect {
-			t.Errorf("%s %s = %d, want 307", wr.method, wr.path, resp.StatusCode)
+			t.Errorf("%s %s = %d, want 307", rt.Method, path, resp.StatusCode)
 			continue
 		}
 		if err != nil || body.Code != hosting.CodeReplicaReadOnly {
-			t.Errorf("%s %s code = %q (%v), want %s", wr.method, wr.path, body.Code, err, hosting.CodeReplicaReadOnly)
+			t.Errorf("%s %s code = %q (%v), want %s", rt.Method, path, body.Code, err, hosting.CodeReplicaReadOnly)
 		}
-		want := "http://primary.example:8080" + wr.path + "?q=1"
+		want := "http://primary.example:8080" + path + "?q=1"
 		if loc := resp.Header.Get("Location"); loc != want {
-			t.Errorf("%s %s Location = %q, want %q", wr.method, wr.path, loc, want)
+			t.Errorf("%s %s Location = %q, want %q", rt.Method, path, loc, want)
+		}
+	}
+
+	// Every other route is served by the replica itself.
+	for _, rt := range hosting.Routes() {
+		if rt.Kind == "write" {
+			continue
+		}
+		path := fillPath(rt.Path)
+		req, err := http.NewRequest(rt.Method, replicaSrv.URL+path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusTemporaryRedirect {
+			t.Errorf("%s %s (%s) redirected on a replica", rt.Method, path, rt.Kind)
 		}
 	}
 

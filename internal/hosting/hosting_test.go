@@ -85,7 +85,7 @@ func newFixture(t *testing.T) *fixture {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := owner.Push(local, "leshang", "P1", "main"); err != nil {
+	if _, err := owner.Sync(local, "leshang", "P1", "main"); err != nil {
 		t.Fatal(err)
 	}
 	return &fixture{platform: p, server: ts, owner: owner, anon: anon, ownerTok: tok}
@@ -323,7 +323,7 @@ func TestPushPullRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	stored, err := fx.owner.Push(local, "leshang", "P1", "main")
+	stored, err := fx.owner.Sync(local, "leshang", "P1", "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestPushPullRoundTrip(t *testing.T) {
 	// Non-member push is refused.
 	tok, _ := fx.anon.CreateUser("mallory")
 	mallory := fx.anon.WithToken(tok)
-	if _, err := mallory.Push(local, "leshang", "P1", "main"); !extension.IsPermissionDenied(err) {
+	if _, err := mallory.Sync(local, "leshang", "P1", "main"); !extension.IsPermissionDenied(err) {
 		t.Errorf("non-member push = %v", err)
 	}
 }
@@ -367,10 +367,10 @@ func TestPushRejectsNonFastForward(t *testing.T) {
 	}
 	commit(a, "/a.txt", 1_600_000_000)
 	commit(b, "/b.txt", 1_600_000_001)
-	if _, err := fx.owner.Push(a, "leshang", "P1", "main"); err != nil {
+	if _, err := fx.owner.Sync(a, "leshang", "P1", "main"); err != nil {
 		t.Fatal(err)
 	}
-	_, err = fx.owner.Push(b, "leshang", "P1", "main")
+	_, err = fx.owner.Sync(b, "leshang", "P1", "main")
 	if err == nil {
 		t.Fatal("divergent push accepted")
 	}
@@ -411,7 +411,7 @@ func TestPlatformErrorsMapToHTTPStatus(t *testing.T) {
 
 func TestChainEndpoint(t *testing.T) {
 	fx := newFixture(t)
-	resp, err := http.Get(fx.server.URL + "/api/repos/leshang/P1/chain/main?path=/CoreCover/rewrite.py")
+	resp, err := http.Get(fx.server.URL + "/api/v1/repos/leshang/P1/chain/main?path=/CoreCover/rewrite.py")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +475,7 @@ func TestCreditEndpoint(t *testing.T) {
 func TestEditCiteRejectsBadBodies(t *testing.T) {
 	fx := newFixture(t)
 	post := func(body string) int {
-		req, err := http.NewRequest("POST", fx.server.URL+"/api/repos/leshang/P1/cite", strings.NewReader(body))
+		req, err := http.NewRequest("POST", fx.server.URL+"/api/v1/repos/leshang/P1/cite", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

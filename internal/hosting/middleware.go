@@ -11,6 +11,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -121,14 +122,15 @@ func (s *Server) withCORS(next http.Handler) http.Handler {
 // withRateLimit enforces the per-token budget before any handler work.
 // Rejections carry Retry-After so well-behaved clients (the extension
 // client honors it) wait the advised interval instead of hammering the
-// backoff path. Health probes bypass the limiter: a load balancer polling
-// /healthz must never be throttled into marking the node dead.
-func (s *Server) withRateLimit(next http.Handler) http.Handler {
+// backoff path. The probe paths (the route table's probe rows) bypass the
+// limiter: a load balancer polling /healthz must never be throttled into
+// marking the node dead.
+func (s *Server) withRateLimit(next http.Handler, probes []string) http.Handler {
 	if s.limiter == nil {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/healthz" || r.URL.Path == "/readyz" {
+		if slices.Contains(probes, r.URL.Path) {
 			next.ServeHTTP(w, r)
 			return
 		}

@@ -98,6 +98,15 @@ func waitBranch(t *testing.T, p *hosting.Platform, owner, name, branch string, w
 	})
 }
 
+// waitFullResyncs waits until the replicator has counted at least n full
+// resyncs; the caller then asserts the exact count.
+func waitFullResyncs(t *testing.T, rep *Replicator, n int64) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("%d full resyncs", n), func() bool {
+		return rep.Status().FullResyncs >= n
+	})
+}
+
 func closureSet(t *testing.T, s store.Store, root object.ID) map[object.ID]bool {
 	t.Helper()
 	ids, err := store.ClosureIDs(s, root)
@@ -358,6 +367,8 @@ func TestPrimaryRestartTriggersFullResync(t *testing.T) {
 	rcfg.StateDir = t.TempDir()
 	rep, _ := runReplicator(t, rcfg)
 	waitBranch(t, rp, "prime", "flappy", "main", tips[4])
+	// The resync applies the tips before it counts itself: wait for both.
+	waitFullResyncs(t, rep, 1)
 	if got := rep.Status().FullResyncs; got != 1 {
 		t.Fatalf("bootstrap full resyncs = %d, want 1", got)
 	}
@@ -377,6 +388,7 @@ func TestPrimaryRestartTriggersFullResync(t *testing.T) {
 		push(tip)
 	}
 	waitBranch(t, rp, "prime", "flappy", "main", tips[len(tips)-1])
+	waitFullResyncs(t, rep, 2)
 	assertSameClosure(t, pp2, rp, "prime", "flappy", "main")
 	st := rep.Status()
 	if st.FullResyncs != 2 {

@@ -496,18 +496,6 @@ func TestPushGarbageLandsNothing(t *testing.T) {
 		t.Errorf("v1 garbage push status = %d, want 400", resp.StatusCode)
 	}
 
-	// Legacy array push with the same garbage.
-	legacy, err := json.Marshal(hosting.PushRequest{
-		Branch: "main", Tip: fakeTip,
-		Objects: []hosting.WireObject{{Data: base64.StdEncoding.EncodeToString(orphanEnc)}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp := push("/api/repos/leshang/P1/push", "application/json", legacy); resp.StatusCode != 400 {
-		t.Errorf("legacy garbage push status = %d, want 400", resp.StatusCode)
-	}
-
 	// A push whose tip is a blob is equally rejected.
 	var blobTip bytes.Buffer
 	fmt.Fprintf(&blobTip, `{"branch":"main","tip":"%s"}`+"\n", orphanID.String())
@@ -666,108 +654,6 @@ func TestErrorCodesAreStable(t *testing.T) {
 	bogus := fx.anon.WithToken("gct_bogus")
 	if _, err := bogus.GetRepo("leshang", "P1"); !isAPIErr(err, &apiErr) || apiErr.Status != 401 {
 		t.Errorf("bogus token = %v, want 401", err)
-	}
-}
-
-// ---- deprecated routes ----
-
-// TestLegacyRoutesStillServe keeps the pre-v1 wire protocol working: the
-// unversioned tree returns a plain array, pull returns the whole-closure
-// JSON body, and the array-form push still lands commits (now with the v1
-// validation order underneath).
-func TestLegacyRoutesStillServe(t *testing.T) {
-	fx := newFixture(t)
-	// Legacy tree: a JSON array, not a page envelope.
-	resp, err := http.Get(fx.server.URL + "/api/repos/leshang/P1/tree/main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entries []hosting.TreeEntryResponse
-	err = json.NewDecoder(resp.Body).Decode(&entries)
-	resp.Body.Close()
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("legacy tree: %v (%d entries)", err, len(entries))
-	}
-
-	// Legacy pull: tip + full object array.
-	resp, err = http.Get(fx.server.URL + "/api/repos/leshang/P1/pull/main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pull hosting.PullResponse
-	err = json.NewDecoder(resp.Body).Decode(&pull)
-	resp.Body.Close()
-	if err != nil || len(pull.Objects) == 0 {
-		t.Fatalf("legacy pull: %v (%d objects)", err, len(pull.Objects))
-	}
-	tip, err := object.ParseID(pull.Tip)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Rebuild a local repo from the legacy payload and push a new commit
-	// back through the legacy array route.
-	local, err := gitcite.NewMemoryRepo(gitcite.Meta{Owner: "leshang", Name: "P1", URL: "u"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, wo := range pull.Objects {
-		enc, err := base64.StdEncoding.DecodeString(wo.Data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o, err := object.Decode(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := local.VCS.Objects.Put(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := local.VCS.Refs.Set(refs.BranchRef("main"), tip); err != nil {
-		t.Fatal(err)
-	}
-	wt, err := local.Checkout("main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wt.WriteFile("/legacy.txt", []byte("from the old protocol")); err != nil {
-		t.Fatal(err)
-	}
-	newTip, err := wt.Commit(vcs.CommitOptions{Author: vcs.Sig("l", "l@x", time.Unix(7, 0)), Message: "legacy push"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var req hosting.PushRequest
-	req.Branch, req.Tip = "main", newTip.String()
-	if err := store.WalkClosure(local.VCS.Objects, func(_ object.ID, o object.Object) error {
-		req.Objects = append(req.Objects, hosting.WireObject{Data: base64.StdEncoding.EncodeToString(object.Encode(o))})
-		return nil
-	}, newTip); err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq, err := http.NewRequest("POST", fx.server.URL+"/api/repos/leshang/P1/push", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq.Header.Set("Authorization", "Bearer "+fx.ownerTok)
-	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pushResp hosting.PushResponse
-	err = json.NewDecoder(hresp.Body).Decode(&pushResp)
-	hresp.Body.Close()
-	if err != nil || hresp.StatusCode != 200 {
-		t.Fatalf("legacy push: status %d, %v", hresp.StatusCode, err)
-	}
-	if _, _, err := fx.anon.GenCite("leshang", "P1", "main", "/legacy.txt"); err != nil {
-		t.Errorf("read after legacy push: %v", err)
 	}
 }
 

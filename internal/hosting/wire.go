@@ -1,8 +1,7 @@
 // wire.go defines the v1 wire protocol: the stable machine-readable error
 // body, the negotiate/sync message types, and the NDJSON object-stream codec
 // shared by the server handlers and the browser-extension client. One object
-// travels per line, so neither side ever buffers a whole closure the way the
-// pre-v1 base64-array payloads did.
+// travels per line, so neither side ever buffers a whole closure.
 package hosting
 
 import (
@@ -15,8 +14,7 @@ import (
 	"github.com/gitcite/gitcite/internal/vcs/object"
 )
 
-// APIv1Prefix is the path prefix of the versioned API. The unversioned
-// /api/... routes are deprecated aliases kept for pre-v1 clients.
+// APIv1Prefix is the path prefix of the versioned API.
 const APIv1Prefix = "/api/v1"
 
 // MediaTypeNDJSON is the content type of streamed object transfers.

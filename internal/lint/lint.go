@@ -79,6 +79,7 @@ func All() []*Analyzer {
 		CtxFirst,
 		LockDiscipline,
 		NoIDScan,
+		RouteTable,
 		WireCodes,
 	}
 }

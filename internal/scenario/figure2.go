@@ -110,7 +110,7 @@ func Figure2() (*Figure2Result, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if _, err := owner.Push(local, "leshang", "demo", "main"); err != nil {
+	if _, err := owner.Sync(local, "leshang", "demo", "main"); err != nil {
 		return nil, err
 	}
 

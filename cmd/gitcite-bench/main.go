@@ -820,6 +820,64 @@ func runCounters() error {
 	}
 	emit("store_puts_per_merge_commit", mergeCounting.puts.Load())
 
+	// --- commit reads per merge base (1 000-commit history) ---
+	// A linear 1 000-commit main, a side branch at its tip and two commits
+	// on each side; their merge base is taken and side merged into main.
+	// Two more commits on each side, and the same handle's second merge
+	// base reads only the commits since the last merge: the generation
+	// numbers the first one filled (reading the history once) are still
+	// held. No cache, so every commit read reaches the counting store.
+	mbCounting := &countingStore{Store: store.NewMemoryStore()}
+	mbRepo := &vcs.Repository{Objects: mbCounting, Refs: refs.NewMemoryStore()}
+	mbTree, err := vcs.BuildTree(mbCounting, map[string]vcs.FileContent{"/f": vcs.File("x")})
+	if err != nil {
+		return err
+	}
+	mbCommits := int64(0)
+	mbCommit := func(branch string) (object.ID, error) {
+		mbCommits++
+		return mbRepo.CommitTreeOnBranch(branch, mbTree, at(mbCommits))
+	}
+	var mbTip object.ID
+	for i := 0; i < 1000; i++ {
+		if mbTip, err = mbCommit("main"); err != nil {
+			return err
+		}
+	}
+	if err := mbRepo.CreateBranch("side", mbTip); err != nil {
+		return err
+	}
+	// mergeBaseReads commits twice on each side and counts the commit
+	// reads of the merge base of the two new tips.
+	mergeBaseReads := func() (side object.ID, reads int64, err error) {
+		var ours object.ID
+		for i := 0; i < 2; i++ {
+			if ours, err = mbCommit("main"); err != nil {
+				return side, 0, err
+			}
+			if side, err = mbCommit("side"); err != nil {
+				return side, 0, err
+			}
+		}
+		before := mbCounting.gets.Load()
+		if _, err := mbRepo.MergeBase(ours, side); err != nil {
+			return side, 0, err
+		}
+		return side, mbCounting.gets.Load() - before, nil
+	}
+	mbSide, _, err := mergeBaseReads()
+	if err != nil {
+		return err
+	}
+	if _, err := mbRepo.MergeCommitOnBranch("main", mbTree, mbSide, at(0)); err != nil {
+		return err
+	}
+	_, mbReads, err := mergeBaseReads()
+	if err != nil {
+		return err
+	}
+	emit("commit_reads_per_merge_base", mbReads)
+
 	// --- citation.cite puts per code-only commit (1000-file repo) ---
 	// A citation-enabled repository (ten directories cited) takes one
 	// Worktree.Commit of a one-file edit, at a commit time of its own. The

@@ -95,16 +95,21 @@ func (r *Repo) Checkout(branch string) (*Worktree, error) {
 		return nil, err
 	}
 	wt.baseTree = treeID
-	listed, err := vcs.FlattenTree(r.VCS.Objects, treeID)
+	// One walk fills the working files and the directory index dirs()
+	// would otherwise rebuild from them on the first tree query.
+	dirs := map[string]bool{"/": true}
+	err = vcs.WalkTree(r.VCS.Objects, treeID, func(p string, e object.TreeEntry) error {
+		if e.IsDir() || p == citefile.Path {
+			return nil
+		}
+		wt.files[p] = &workFile{mode: e.Mode, blobID: e.ID}
+		indexDirs(dirs, p)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	for _, f := range listed {
-		if f.Path == citefile.Path {
-			continue
-		}
-		wt.files[f.Path] = &workFile{mode: f.Mode, blobID: f.BlobID}
-	}
+	wt.dirIndex = dirs
 
 	fn, err := r.functionOf(treeID)
 	switch {
@@ -143,12 +148,18 @@ func (wt *Worktree) dirs() map[string]bool {
 	}
 	dirs := map[string]bool{"/": true}
 	for p := range wt.files {
-		for d := vcs.ParentPath(p); !dirs[d]; d = vcs.ParentPath(d) {
-			dirs[d] = true
-		}
+		indexDirs(dirs, p)
 	}
 	wt.dirIndex, wt.dirIndexGen = dirs, wt.gen
 	return dirs
+}
+
+// indexDirs adds every directory above path to dirs, which holds "/" and
+// each directory above any path added before.
+func indexDirs(dirs map[string]bool, path string) {
+	for d := vcs.ParentPath(path); !dirs[d]; d = vcs.ParentPath(d) {
+		dirs[d] = true
+	}
 }
 
 type worktreeTree struct{ wt *Worktree }

@@ -3,6 +3,7 @@ package gitcite
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -255,5 +256,45 @@ func TestParallelCommitsThroughBatchStore(t *testing.T) {
 		if _, err := vcs.ReadFile(r.VCS.Objects, tree, "/dir1/sub0/file1.txt"); err != nil {
 			t.Errorf("branch feature-%d lost a seeded file: %v", w, err)
 		}
+	}
+}
+
+// TestCheckoutBuildsDirIndex checks that the directory index Checkout fills
+// in its tree walk is the one dirs() rebuilds from the working files: every
+// directory a working file lies under, and "/". Sibling names that share a
+// prefix stay apart, and a root holding only citation.cite indexes "/" alone.
+func TestCheckoutBuildsDirIndex(t *testing.T) {
+	for name, paths := range map[string][]string{
+		"nested":         {"/a/b/c/d.txt", "/a/b/e.txt", "/a/f.txt", "/g.txt", "/h/i/j/k/l.txt"},
+		"sibling-prefix": {"/a/b/x", "/a.b/y", "/a/b.c/z", "/ab/w", "/a/bb"},
+		"cite-only":      nil,
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := newRepo(t)
+			wt, err := r.Checkout("main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range paths {
+				if err := wt.WriteFile(p, []byte(p)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := wt.Commit(opts("alice", 1)); err != nil {
+				t.Fatal(err)
+			}
+			wt, err = r.Checkout("main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := wt.dirIndex
+			if got == nil || wt.dirIndexGen != wt.gen {
+				t.Fatal("Checkout left the directory index to be rebuilt")
+			}
+			wt.dirIndex = nil
+			if want := wt.dirs(); !reflect.DeepEqual(got, want) {
+				t.Errorf("index after Checkout = %v, rebuilt = %v", got, want)
+			}
+		})
 	}
 }

@@ -204,8 +204,15 @@ func TestSnapshotCoversUsersReposAndTips(t *testing.T) {
 func TestReplicaModeRedirectsWrites(t *testing.T) {
 	// Populate a platform normally, then serve the same platform read-only.
 	fx := newFixture(t)
+	// The primary is a local listener that no request may reach: a read
+	// route misdeclared as a write fails here, without leaving the host.
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		t.Errorf("request reached the primary: %s %s", r.Method, r.URL)
+		http.Error(w, "primary", http.StatusInternalServerError)
+	}))
+	defer primary.Close()
 	replicaSrv := httptest.NewServer(hosting.NewServer(fx.platform,
-		hosting.WithReplicaMode("http://primary.example:8080/", nil)))
+		hosting.WithReplicaMode(primary.URL+"/", nil)))
 	defer replicaSrv.Close()
 
 	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
@@ -231,7 +238,7 @@ func TestReplicaModeRedirectsWrites(t *testing.T) {
 		if err != nil || body.Code != hosting.CodeReplicaReadOnly {
 			t.Errorf("%s %s code = %q (%v), want %s", rt.Method, path, body.Code, err, hosting.CodeReplicaReadOnly)
 		}
-		want := "http://primary.example:8080" + path + "?q=1"
+		want := primary.URL + path + "?q=1"
 		if loc := resp.Header.Get("Location"); loc != want {
 			t.Errorf("%s %s Location = %q, want %q", rt.Method, path, loc, want)
 		}

@@ -24,6 +24,13 @@ type Repository struct {
 	// from its tip read to its ref write (moveBranch), so two commits on
 	// one tip cannot both succeed.
 	tipMu sync.Mutex
+
+	// genMu guards gens, the generation numbers MergeBase has needed
+	// through this handle (see generation). A commit ID names immutable
+	// content, so an entry never goes stale; the memo lives in memory only
+	// and is filled lazily, never by a commit or by opening the repository.
+	genMu sync.Mutex
+	gens  map[object.ID]uint32
 }
 
 // ErrNoCommits reports an operation that needs a commit on a branch that has
@@ -426,107 +433,6 @@ func (r *Repository) IsAncestor(anc, desc object.ID) (bool, error) {
 		return false, err
 	}
 	return found, nil
-}
-
-// MergeBase computes a best common ancestor of two commits: a common
-// ancestor not dominated by any other common ancestor. With multiple
-// candidates (criss-cross merges) the one with the greatest commit
-// generation depth is chosen, deterministically breaking remaining ties by
-// ID. Returns ZeroID when the commits share no history.
-func (r *Repository) MergeBase(a, b object.ID) (object.ID, error) {
-	reachA, err := r.reachableDepths(a)
-	if err != nil {
-		return object.ZeroID, err
-	}
-	reachB, err := r.reachableDepths(b)
-	if err != nil {
-		return object.ZeroID, err
-	}
-	// Common ancestors.
-	common := make(map[object.ID]bool)
-	for id := range reachA {
-		if _, ok := reachB[id]; ok {
-			common[id] = true
-		}
-	}
-	if len(common) == 0 {
-		return object.ZeroID, nil
-	}
-	// Drop any common ancestor that is a strict ancestor of another common
-	// ancestor ("dominated"). Every ancestor of a common ancestor is itself
-	// a common ancestor (reachability is transitive), so the common set is
-	// ancestor-closed and one multi-source parent walk from all common
-	// ancestors marks exactly the dominated ones — no pairwise full-history
-	// IsAncestor checks.
-	dominated := make(map[object.ID]bool, len(common))
-	stack := make([]object.ID, 0, len(common))
-	for id := range common {
-		c, err := r.Commit(id)
-		if err != nil {
-			return object.ZeroID, err
-		}
-		stack = append(stack, c.Parents...)
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if id.IsZero() || dominated[id] {
-			continue
-		}
-		dominated[id] = true
-		c, err := r.Commit(id)
-		if err != nil {
-			return object.ZeroID, err
-		}
-		stack = append(stack, c.Parents...)
-	}
-	var best object.ID
-	found := false
-	for id := range common {
-		if dominated[id] {
-			continue
-		}
-		if !found {
-			best, found = id, true
-			continue
-		}
-		// Criss-cross: pick the deepest (max generation), tie-break by ID.
-		di, dj := reachA[id], reachA[best]
-		if di > dj || (di == dj && id.String() < best.String()) {
-			best = id
-		}
-	}
-	return best, nil
-}
-
-// reachableDepths maps every commit reachable from start to its maximum
-// generation depth (root commits have the greatest depth values).
-func (r *Repository) reachableDepths(start object.ID) (map[object.ID]int, error) {
-	depths := make(map[object.ID]int)
-	type frame struct {
-		id    object.ID
-		depth int
-	}
-	stack := []frame{{start, 0}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if f.id.IsZero() {
-			continue
-		}
-		if d, ok := depths[f.id]; ok && d >= f.depth {
-			continue
-		}
-		depths[f.id] = f.depth
-		c, err := r.Commit(f.id)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range c.Parents {
-			stack = append(stack, frame{p, f.depth + 1})
-		}
-	}
-	return depths, nil
 }
 
 // Fork copies the full reachable object graph of every branch from src into

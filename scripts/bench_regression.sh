@@ -10,7 +10,8 @@
 # replaced per one-file commit, citation.cite blobs written per code-only
 # commit (citefile_puts_per_code_only_commit), wire objects per sync,
 # negotiate IDs, full-store scans, index bytes per pack append batch,
-# backend reads per cite of a reopened repository), so growth is a real
+# backend reads per cite of a reopened repository, commit reads per merge
+# base on a 1 000-commit history (commit_reads_per_merge_base)), so growth is a real
 # efficiency regression, not runner noise. Counters present only in head
 # are reported as new (informational); counters present only in base fail,
 # so a regression cannot hide behind a counter rename. Pass "-" for both counter

@@ -504,13 +504,12 @@ func BenchmarkPushClosure(b *testing.B) {
 			}
 		}
 	})
-	// The file-backed variants are where batching matters: per-fanout-dir
-	// locking, a single directory scan instead of per-object stats, and
-	// pooled compressors.
-	b.Run("file/batched", func(b *testing.B) {
+	// The on-disk variants are where batching matters: one pack append and
+	// one journaled index segment per frontier instead of one per object.
+	b.Run("pack/batched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			dst, err := store.NewFileStore(b.TempDir())
+			dst, err := store.NewPackStore(b.TempDir())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -518,12 +517,13 @@ func BenchmarkPushClosure(b *testing.B) {
 			if _, err := store.CopyClosure(dst, src, root); err != nil {
 				b.Fatal(err)
 			}
+			dst.Close()
 		}
 	})
-	b.Run("file/per-object", func(b *testing.B) {
+	b.Run("pack/per-object", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			dst, err := store.NewFileStore(b.TempDir())
+			dst, err := store.NewPackStore(b.TempDir())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -531,6 +531,7 @@ func BenchmarkPushClosure(b *testing.B) {
 			if _, err := copyClosurePerObject(dst, src, root); err != nil {
 				b.Fatal(err)
 			}
+			dst.Close()
 		}
 	})
 }

@@ -306,12 +306,12 @@ func (c *countingStore) Put(o object.Object) (object.ID, error) {
 
 func (c *countingStore) PutMany(objs []object.Object) ([]object.ID, error) {
 	c.puts.Add(int64(len(objs)))
-	return store.PutMany(c.Store, objs)
+	return c.Store.PutMany(objs)
 }
 
 func (c *countingStore) PutManyEncoded(batch []store.Encoded) error {
 	c.puts.Add(int64(len(batch)))
-	return store.PutManyEncoded(c.Store, batch)
+	return c.Store.PutManyEncoded(batch)
 }
 
 // putLog records the ID of every object put through it, in order.
@@ -329,7 +329,7 @@ func (p *putLog) Put(o object.Object) (object.ID, error) {
 }
 
 func (p *putLog) PutMany(objs []object.Object) ([]object.ID, error) {
-	ids, err := store.PutMany(p.Store, objs)
+	ids, err := p.Store.PutMany(objs)
 	if err == nil {
 		p.ids = append(p.ids, ids...)
 	}
@@ -337,7 +337,7 @@ func (p *putLog) PutMany(objs []object.Object) ([]object.ID, error) {
 }
 
 func (p *putLog) PutManyEncoded(batch []store.Encoded) error {
-	err := store.PutManyEncoded(p.Store, batch)
+	err := p.Store.PutManyEncoded(batch)
 	if err == nil {
 		for _, e := range batch {
 			p.ids = append(p.ids, e.ID)
@@ -630,7 +630,7 @@ func (s *scanCountingStore) IDs() ([]object.ID, error) {
 }
 
 func (s *scanCountingStore) IDsByPrefix(prefix string, limit int) ([]object.ID, error) {
-	return store.IDsByPrefix(s.Store, prefix, limit)
+	return s.Store.IDsByPrefix(prefix, limit)
 }
 
 // runCounters emits the pinned deterministic efficiency counters CI's

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	gitcite init -owner O -name N [-url U] [-license L] [-pack]
+//	gitcite init -owner O -name N [-url U] [-license L]
 //	gitcite commit -author NAME [-email E] -m MSG
 //	gitcite log | branches | branch NAME | switch NAME
 //	gitcite add-cite -path P -owner O -repo R [-url U] [-version V] [-authors "A,B"]
@@ -12,7 +12,7 @@
 //	gitcite cite -path P [-rev R] [-format text|bibtex|cff|json]   (GenCite)
 //	gitcite chain -path P [-rev R]                         (whole-path semantics)
 //	gitcite citefile [-rev R]                              (print citation.cite as stored)
-//	gitcite repack                                         (fold loose objects into packs)
+//	gitcite repack                                         (fold legacy loose objects, consolidate packs)
 //	gitcite merge -from BRANCH -author NAME [-strategy ours|theirs|newest|three-way]
 //	gitcite copy -src-dir DIR -src-path P -dst-path Q -author NAME  (CopyCite)
 //	gitcite mv OLD NEW | rm PATH                           (then commit)
@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -98,38 +99,37 @@ func run(args []string) error {
 
 const stateDir = ".gitcite"
 
-// storagePack marks a repository whose .gitcite/objects uses pack-based
-// storage (gitcite init -pack, or a completed gitcite repack migration).
-const storagePack = "pack"
+// openRepo opens the repository of the working directory.
+func openRepo() (*gitcite.Repo, error) { return openRepoIn(".") }
 
-func openRepo() (*gitcite.Repo, error) {
-	meta, storage, err := loadMeta()
+// openRepoIn opens the repository whose state lives in dir/.gitcite. Every
+// repository opens with pack storage; one written before every repository
+// wrote packs keeps its loose objects readable until `gitcite repack` folds
+// them in.
+func openRepoIn(dir string) (*gitcite.Repo, error) {
+	meta, err := loadMeta(dir)
 	if err != nil {
 		return nil, err
 	}
-	if storage == storagePack {
-		return gitcite.OpenPackedFileRepo(stateDir, meta)
-	}
-	return gitcite.OpenFileRepo(stateDir, meta)
+	return gitcite.OpenPackedFileRepo(filepath.Join(dir, stateDir), meta)
 }
 
-func metaPath() string { return stateDir + "/meta" }
-
-func saveMeta(m gitcite.Meta, storage string) error {
-	content := fmt.Sprintf("owner=%s\nname=%s\nurl=%s\nlicense=%s\n", m.Owner, m.Name, m.URL, m.License)
-	if storage != "" {
-		content += fmt.Sprintf("storage=%s\n", storage)
-	}
-	return os.WriteFile(metaPath(), []byte(content), 0o644)
+// saveMeta writes .gitcite/meta. It records storage=pack, which this binary
+// ignores, so that older binaries, which open a repository without that
+// line loose-only, open it packed.
+func saveMeta(m gitcite.Meta) error {
+	content := fmt.Sprintf("owner=%s\nname=%s\nurl=%s\nlicense=%s\nstorage=pack\n", m.Owner, m.Name, m.URL, m.License)
+	return os.WriteFile(filepath.Join(stateDir, "meta"), []byte(content), 0o644)
 }
 
-func loadMeta() (gitcite.Meta, string, error) {
-	data, err := os.ReadFile(metaPath())
+// loadMeta reads the metadata of the repository whose state lives in
+// dir/.gitcite.
+func loadMeta(dir string) (gitcite.Meta, error) {
+	data, err := os.ReadFile(filepath.Join(dir, stateDir, "meta"))
 	if err != nil {
-		return gitcite.Meta{}, "", fmt.Errorf("not a gitcite repository (run 'gitcite init'): %w", err)
+		return gitcite.Meta{}, fmt.Errorf("not a gitcite repository (run 'gitcite init'): %w", err)
 	}
 	m := gitcite.Meta{}
-	storage := ""
 	for _, line := range strings.Split(string(data), "\n") {
 		key, val, ok := strings.Cut(line, "=")
 		if !ok {
@@ -144,11 +144,9 @@ func loadMeta() (gitcite.Meta, string, error) {
 			m.URL = val
 		case "license":
 			m.License = val
-		case "storage":
-			storage = val
 		}
 	}
-	return m, storage, m.Validate()
+	return m, m.Validate()
 }
 
 // resolveRev maps an empty rev to HEAD and otherwise resolves a branch
@@ -183,7 +181,6 @@ func cmdInit(args []string) error {
 	name := fs.String("name", "", "repository name (required)")
 	url := fs.String("url", "", "repository URL")
 	license := fs.String("license", "", "license identifier")
-	pack := fs.Bool("pack", false, "use pack-based object storage (append-only pack files with a sorted ID index)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -194,52 +191,36 @@ func cmdInit(args []string) error {
 	if err := os.MkdirAll(stateDir, 0o755); err != nil {
 		return err
 	}
-	storage := ""
-	if *pack {
-		storage = storagePack
-	}
-	if err := saveMeta(m, storage); err != nil {
+	if err := saveMeta(m); err != nil {
 		return err
 	}
-	open := gitcite.OpenFileRepo
-	if *pack {
-		open = gitcite.OpenPackedFileRepo
-	}
-	if _, err := open(stateDir, m); err != nil {
+	repo, err := gitcite.OpenPackedFileRepo(stateDir, m)
+	if err != nil {
 		return err
 	}
-	layout := "loose objects"
-	if *pack {
-		layout = "pack storage"
-	}
-	fmt.Printf("initialised citation-enabled repository %s/%s in %s (%s)\n", m.Owner, m.Name, stateDir, layout)
+	defer repo.Close()
+	fmt.Printf("initialised citation-enabled repository %s/%s in %s\n", m.Owner, m.Name, stateDir)
 	return nil
 }
 
-// cmdRepack migrates a loose-object repository to pack storage (or folds a
-// packed repository's strays and consolidates its packs): every loose
-// object is absorbed into a single pack and the meta file records the pack
-// layout so later commands open the store packed. The fold is the
+// cmdRepack folds a legacy loose repository's objects into pack storage and
+// consolidates its packs: every loose object is absorbed into a single pack.
+// The fold is the
 // two-phase concurrent repack: other processes' readers of the same
 // .gitcite keep working for its whole duration, and within this process
 // the store is locked only for the final swap. A store already
 // consolidated to one pack with nothing loose returns immediately without
 // rewriting anything.
 func cmdRepack() error {
-	meta, _, err := loadMeta()
-	if err != nil {
-		return err
-	}
-	repo, err := gitcite.OpenPackedFileRepo(stateDir, meta)
+	repo, err := openRepo()
 	if err != nil {
 		return err
 	}
 	defer repo.Close()
-	// Record the pack layout BEFORE the destructive fold: a packed open
-	// still reads loose objects, so either crash order leaves a readable
-	// repository — the reverse order would delete the loose files while
-	// the meta still told every later command to open loose-only.
-	if err := saveMeta(meta, storagePack); err != nil {
+	// Record storage=pack BEFORE the destructive fold, for older binaries:
+	// one that finds a legacy meta without it opens the repository
+	// loose-only and would not see the folded objects.
+	if err := saveMeta(repo.Meta); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -720,32 +701,11 @@ func cmdCopy(args []string) error {
 	if *srcDir == "" || *dstPath == "" {
 		return fmt.Errorf("copy requires -src-dir and -dst-path")
 	}
-	// Open the source repository (its meta lives next to its state dir).
-	srcMetaData, err := os.ReadFile(*srcDir + "/" + stateDir + "/meta")
+	src, err := openRepoIn(*srcDir)
 	if err != nil {
-		return fmt.Errorf("source is not a gitcite repository: %w", err)
+		return fmt.Errorf("source: %w", err)
 	}
-	srcMeta := gitcite.Meta{}
-	for _, line := range strings.Split(string(srcMetaData), "\n") {
-		key, val, ok := strings.Cut(line, "=")
-		if !ok {
-			continue
-		}
-		switch key {
-		case "owner":
-			srcMeta.Owner = val
-		case "name":
-			srcMeta.Name = val
-		case "url":
-			srcMeta.URL = val
-		case "license":
-			srcMeta.License = val
-		}
-	}
-	src, err := gitcite.OpenFileRepo(*srcDir+"/"+stateDir, srcMeta)
-	if err != nil {
-		return err
-	}
+	defer src.Close()
 	srcTip, err := src.VCS.Head()
 	if err != nil {
 		return err
@@ -763,7 +723,7 @@ func cmdCopy(args []string) error {
 	}
 	id, err := wt.Commit(vcs.CommitOptions{
 		Author:  vcs.Sig(*author, *email, time.Now()),
-		Message: fmt.Sprintf("CopyCite %s:%s -> %s", srcMeta.Name, *srcPath, *dstPath),
+		Message: fmt.Sprintf("CopyCite %s:%s -> %s", src.Meta.Name, *srcPath, *dstPath),
 	})
 	if err != nil {
 		return err

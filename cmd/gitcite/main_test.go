@@ -69,36 +69,51 @@ func TestCLILifecycle(t *testing.T) {
 	})
 }
 
-// TestCLIPackStorageLifecycle drives the same lifecycle against a
-// pack-initialised repository (init -pack): commits land in pack files,
-// reads resolve through the pack's ordered index, and repack consolidates.
+// TestCLIPackStorageLifecycle drives the lifecycle against a freshly
+// initialised repository: the first commit lands in a pack file and leaves
+// no loose fanout directory, reads resolve through the pack's ordered
+// index, and repack consolidates.
 func TestCLIPackStorageLifecycle(t *testing.T) {
 	inTempRepo(t, func(string) {
-		mustRun(t, "init", "-owner", "alice", "-name", "packed", "-pack")
+		mustRun(t, "init", "-owner", "alice", "-name", "packed")
 		write(t, "main.go", "package main\n")
 		write(t, "lib/code.go", "package lib\n")
 		mustRun(t, "commit", "-author", "alice", "-m", "initial")
+		if packs, err := filepath.Glob(".gitcite/objects/pack/*.pack"); err != nil || len(packs) == 0 {
+			t.Fatalf("no pack files after the first commit (err=%v)", err)
+		}
+		if loose := looseFiles(t); len(loose) != 0 {
+			t.Fatalf("first commit wrote to the loose tier: %v", loose)
+		}
 		mustRun(t, "add-cite", "-path", "/lib", "-owner", "bob", "-repo", "blib", "-url", "https://x/blib", "-version", "1")
 		mustRun(t, "commit", "-author", "alice", "-m", "cite lib")
 		mustRun(t, "cite", "-path", "/lib/code.go")
 		mustRun(t, "citefile")
 		mustRun(t, "repack")
 		mustRun(t, "cite", "-path", "/lib/code.go")
-		// Pack files exist; no loose fanout dirs remain.
 		packs, err := filepath.Glob(".gitcite/objects/pack/*.pack")
-		if err != nil || len(packs) == 0 {
-			t.Fatalf("no pack files after repack (err=%v)", err)
+		if err != nil || len(packs) != 1 {
+			t.Fatalf("%d pack files after repack (err=%v), want 1", len(packs), err)
+		}
+		entries, err := os.ReadDir(".gitcite/objects")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.Name() != "pack" {
+				t.Errorf(".gitcite/objects holds %s; want only pack/", e.Name())
+			}
 		}
 	})
 }
 
-// TestCLIRepackMigratesLooseRepo initialises a loose repository, repacks
-// it, and checks later commands open it packed and still read history.
+// TestCLIRepackMigratesLooseRepo repacks a copy of the loose-v1 fixture, a
+// repository written in the legacy loose layout, and checks that the meta
+// file then records storage=pack for older binaries and that later
+// commands still commit and read history.
 func TestCLIRepackMigratesLooseRepo(t *testing.T) {
-	inTempRepo(t, func(string) {
-		mustRun(t, "init", "-owner", "alice", "-name", "migrate")
-		write(t, "a.txt", "one\n")
-		mustRun(t, "commit", "-author", "alice", "-m", "first")
+	inTempRepo(t, func(dir string) {
+		copyFixture(t, dir)
 		mustRun(t, "repack")
 		meta, err := os.ReadFile(".gitcite/meta")
 		if err != nil || !strings.Contains(string(meta), "storage=pack") {
@@ -264,37 +279,55 @@ func TestCLIErrors(t *testing.T) {
 	})
 }
 
+// TestCLICopyBetweenRepos imports a cited library with copy -src-dir from
+// three kinds of source: a freshly initialised repository, one that has
+// been repacked, and a copy of the loose-v1 fixture. Each source opens
+// through the same path as the working repository, whatever its layout.
 func TestCLICopyBetweenRepos(t *testing.T) {
-	base := t.TempDir()
-	srcDir := filepath.Join(base, "src")
-	dstDir := filepath.Join(base, "dst")
-	if err := os.MkdirAll(srcDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(dstDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	old, _ := os.Getwd()
-	t.Cleanup(func() { _ = os.Chdir(old) })
+	for _, source := range []string{"init", "repacked", "loose-v1"} {
+		t.Run(source, func(t *testing.T) {
+			base := t.TempDir()
+			srcDir := filepath.Join(base, "src")
+			dstDir := filepath.Join(base, "dst")
+			if err := os.MkdirAll(srcDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(dstDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			old, _ := os.Getwd()
+			t.Cleanup(func() { _ = os.Chdir(old) })
 
-	// Source repository with a cited library.
-	if err := os.Chdir(srcDir); err != nil {
-		t.Fatal(err)
-	}
-	mustRun(t, "init", "-owner", "chenli", "-name", "corecover", "-url", "https://x/corecover")
-	write(t, "lib/algo.py", "algorithm\n")
-	mustRun(t, "commit", "-author", "chenli", "-m", "algorithm")
+			// Source repository with a cited library under /lib.
+			if err := os.Chdir(srcDir); err != nil {
+				t.Fatal(err)
+			}
+			if source == "loose-v1" {
+				copyFixture(t, srcDir)
+			} else {
+				mustRun(t, "init", "-owner", "chenli", "-name", "corecover", "-url", "https://x/corecover")
+				write(t, "lib/algo.py", "algorithm\n")
+				mustRun(t, "commit", "-author", "chenli", "-m", "algorithm")
+				mustRun(t, "add-cite", "-path", "/lib", "-owner", "bob", "-repo", "blib", "-url", "https://x/blib", "-version", "1")
+				if source == "repacked" {
+					mustRun(t, "repack")
+				}
+			}
 
-	// Destination imports it via CopyCite.
-	if err := os.Chdir(dstDir); err != nil {
-		t.Fatal(err)
+			// Destination imports it via CopyCite.
+			if err := os.Chdir(dstDir); err != nil {
+				t.Fatal(err)
+			}
+			mustRun(t, "init", "-owner", "yinjun", "-name", "demo", "-url", "https://x/demo")
+			write(t, "main.py", "main\n")
+			mustRun(t, "commit", "-author", "yinjun", "-m", "initial")
+			mustRun(t, "copy", "-src-dir", srcDir, "-src-path", "/lib", "-dst-path", "/CoreCover", "-author", "yinjun")
+			if _, err := os.Stat("CoreCover/algo.py"); err != nil {
+				t.Errorf("copied file missing on disk: %v", err)
+			}
+			if out := runOut(t, "cite", "-path", "/CoreCover/algo.py"); !strings.Contains(out, "blib") {
+				t.Errorf("copied citation = %q, want the source's blib citation", out)
+			}
+		})
 	}
-	mustRun(t, "init", "-owner", "yinjun", "-name", "demo", "-url", "https://x/demo")
-	write(t, "main.py", "main\n")
-	mustRun(t, "commit", "-author", "yinjun", "-m", "initial")
-	mustRun(t, "copy", "-src-dir", srcDir, "-src-path", "/lib", "-dst-path", "/CoreCover", "-author", "yinjun")
-	if _, err := os.Stat("CoreCover/algo.py"); err != nil {
-		t.Errorf("copied file missing on disk: %v", err)
-	}
-	mustRun(t, "cite", "-path", "/CoreCover/algo.py")
 }

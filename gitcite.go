@@ -128,30 +128,22 @@ func Sig(name, email string, when time.Time) Signature { return vcs.Sig(name, em
 // NewRepository creates an in-memory citation-enabled repository.
 func NewRepository(meta Meta) (*Repository, error) { return impl.NewMemoryRepo(meta) }
 
-// OpenRepository opens (creating if needed) a repository persisted under
-// dir (objects, refs and HEAD live below it), with loose one-file-per-object
-// storage.
-func OpenRepository(dir string, meta Meta) (*Repository, error) {
-	return impl.OpenFileRepo(dir, meta)
-}
-
 // OpenPackedRepository opens (creating if needed) a repository persisted
-// under dir with pack-based object storage: objects append to pack files
-// with a sorted fan-out ID index instead of one loose file each, so cold
-// opens and abbreviated-ID lookups stay cheap as history grows. Loose
-// objects from an earlier OpenRepository layout remain readable; Repack
-// folds them in. Call Close when done with a pack-backed repository to
-// release its pack file handles (Repository.Close walks the
-// gitcite.Repo → vcs.Repository → store close chain; memory and loose
-// layouts make it a no-op).
+// under dir (objects, refs and HEAD live below it). It is the one way to
+// open an on-disk repository: objects append to pack files with a sorted
+// fan-out ID index, so cold opens and abbreviated-ID lookups stay cheap as
+// history grows. A repository written before every repository wrote packs
+// keeps its loose one-file-per-object store readable as a read-only tier;
+// Repack folds it in. Call Close when done to release the pack file handles
+// (Repository.Close walks the gitcite.Repo → vcs.Repository → store close
+// chain; an in-memory repository makes it a no-op).
 func OpenPackedRepository(dir string, meta Meta) (*Repository, error) {
 	return impl.OpenPackedFileRepo(dir, meta)
 }
 
-// Repack folds a packed repository's loose objects into its pack storage
-// and consolidates its packs into one, reporting how many loose objects
-// were folded. It errors when the repository was not opened with
-// OpenPackedRepository. The fold runs concurrently with reads and commits
+// Repack folds an on-disk repository's legacy loose objects into its pack
+// storage and consolidates its packs into one, reporting how many loose
+// objects were folded. It errors for an in-memory repository. The fold runs concurrently with reads and commits
 // (the store is locked only for the final swap); an already-consolidated
 // store returns immediately without rewriting anything.
 func Repack(r *Repository) (int, error) { return r.VCS.Repack() }

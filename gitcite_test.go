@@ -224,7 +224,7 @@ func TestPublicAPIMergeStrategies(t *testing.T) {
 func TestPublicAPIPersistence(t *testing.T) {
 	dir := t.TempDir() + "/.gitcite"
 	meta := gitcite.Meta{Owner: "p", Name: "persist", URL: "u"}
-	repo, err := gitcite.OpenRepository(dir, meta)
+	repo, err := gitcite.OpenPackedRepository(dir, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +241,14 @@ func TestPublicAPIPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := gitcite.OpenRepository(dir, meta)
+	if err := repo.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := gitcite.OpenPackedRepository(dir, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer reopened.Close()
 	cite, _, err := reopened.Generate(commit, "/x.txt")
 	if err != nil || cite.Owner != "p" {
 		t.Fatalf("reopened Generate = %+v, %v", cite, err)

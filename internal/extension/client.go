@@ -766,7 +766,7 @@ func storeStreamedObjects(local *gitcite.Repo, sr *hosting.ObjectStreamReader) (
 		if len(batch) == 0 {
 			return nil
 		}
-		if err := store.PutManyEncoded(local.VCS.Objects, batch); err != nil {
+		if err := local.VCS.Objects.PutManyEncoded(batch); err != nil {
 			return err
 		}
 		batch = batch[:0]

@@ -86,13 +86,13 @@ func (f *FaultStore) PutMany(objs []object.Object) ([]object.ID, error) {
 			if keep > len(objs) {
 				keep = len(objs)
 			}
-			if _, err := store.PutMany(f.inner, objs[:keep]); err != nil {
+			if _, err := f.inner.PutMany(objs[:keep]); err != nil {
 				return nil, err
 			}
 			return nil, injected(f.name, "PutMany", r.Fault)
 		}
 	}
-	return store.PutMany(f.inner, objs)
+	return f.inner.PutMany(objs)
 }
 
 // HasMany answers a batch of presence queries unless a fault is armed.
@@ -100,7 +100,7 @@ func (f *FaultStore) HasMany(ids []object.ID) ([]bool, error) {
 	if err := f.check("HasMany"); err != nil {
 		return nil, err
 	}
-	return store.HasMany(f.inner, ids)
+	return f.inner.HasMany(ids)
 }
 
 // PutManyEncoded ingests pre-encoded objects; torn-batch rules keep the
@@ -115,13 +115,13 @@ func (f *FaultStore) PutManyEncoded(batch []store.Encoded) error {
 			if keep > len(batch) {
 				keep = len(batch)
 			}
-			if err := store.PutManyEncoded(f.inner, batch[:keep]); err != nil {
+			if err := f.inner.PutManyEncoded(batch[:keep]); err != nil {
 				return err
 			}
 			return injected(f.name, "PutManyEncoded", r.Fault)
 		}
 	}
-	return store.PutManyEncoded(f.inner, batch)
+	return f.inner.PutManyEncoded(batch)
 }
 
 // IDsByPrefix forwards prefix queries unless a fault is armed.
@@ -129,5 +129,5 @@ func (f *FaultStore) IDsByPrefix(prefix string, limit int) ([]object.ID, error) 
 	if err := f.check("IDsByPrefix"); err != nil {
 		return nil, err
 	}
-	return store.IDsByPrefix(f.inner, prefix, limit)
+	return f.inner.IDsByPrefix(prefix, limit)
 }

@@ -94,22 +94,11 @@ func NewMemoryRepo(meta Meta) (*Repo, error) {
 	return &Repo{VCS: vcs.NewMemoryRepository(), Meta: meta}, nil
 }
 
-// OpenFileRepo opens (creating if needed) a repository persisted under dir.
-func OpenFileRepo(dir string, meta Meta) (*Repo, error) {
-	if err := meta.Validate(); err != nil {
-		return nil, err
-	}
-	r, err := vcs.OpenFileRepository(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &Repo{VCS: r, Meta: meta}, nil
-}
-
 // OpenPackedFileRepo opens (creating if needed) a repository persisted
-// under dir with pack-based object storage (append-only pack files plus a
-// sorted fan-out ID index; see store.PackStore). Loose objects from a
-// previous loose-layout open stay readable; VCS.Repack folds them in.
+// under dir, the one way to open an on-disk repository: objects go to
+// append-only pack files with a sorted fan-out ID index (store.PackStore).
+// Loose objects of a repository written before every repository wrote
+// packs stay readable; VCS.Repack folds them in.
 func OpenPackedFileRepo(dir string, meta Meta) (*Repo, error) {
 	if err := meta.Validate(); err != nil {
 		return nil, err
@@ -122,8 +111,8 @@ func OpenPackedFileRepo(dir string, meta Meta) (*Repo, error) {
 }
 
 // Close releases the repository's backing storage (vcs.Repository.Close →
-// store close chain): pack file handles for pack-backed repositories,
-// nothing for memory or loose layouts. The Repo must not be used after
+// store close chain): pack file handles for on-disk repositories, nothing
+// for in-memory ones. The Repo must not be used after
 // Close. Hosting platforms close evicted idle repositories through this so
 // file descriptors and memory stay bounded however many repositories they
 // host; the CLI closes after maintenance commands like repack.

@@ -815,7 +815,7 @@ func (s *Server) handleFetchObjects(w http.ResponseWriter, r *http.Request) {
 		}
 		ids[i] = id
 	}
-	have, err := store.HasMany(repo.VCS.Objects, ids)
+	have, err := repo.VCS.Objects.HasMany(ids)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -877,7 +877,7 @@ func (s *Server) applyPush(ctx context.Context, repo *gitcite.Repo, owner, name,
 		}
 	}
 	// Only now do uploaded objects touch the store: one raw batch write.
-	if err := store.PutManyEncoded(repo.VCS.Objects, batch); err != nil {
+	if err := repo.VCS.Objects.PutManyEncoded(batch); err != nil {
 		return PushResponse{}, err
 	}
 	if err := repo.VCS.Refs.Set(ref, tip); err != nil {

@@ -1,6 +1,8 @@
 package hosting_test
 
 import (
+	"bytes"
+	"compress/zlib"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -352,10 +354,17 @@ func TestGenerateDataDirV1(t *testing.T) {
 	must(wt.AddCite("/vendor", extCite("dana")))
 	commit(wt, "alice", 5)
 	release()
-	loose, err := store.NewFileStore(filepath.Join(dir, "bob", "lib", "objects"))
+	// One object in the legacy loose layout: a zlib file at objects/ab/cdef….
+	enc := object.Encode(object.NewBlobString("stored loose\n"))
+	looseID := object.HashBytes(enc).String()
+	var z bytes.Buffer
+	zw := zlib.NewWriter(&z)
+	_, err = zw.Write(enc)
 	must(err)
-	_, err = loose.Put(object.NewBlobString("stored loose\n"))
-	must(err)
+	must(zw.Close())
+	fan := filepath.Join(dir, "bob", "lib", "objects", looseID[:2])
+	must(os.MkdirAll(fan, 0o755))
+	must(os.WriteFile(filepath.Join(fan, looseID[2:]), z.Bytes(), 0o644))
 	lib, release, err = p.AcquireRepo(ctx, "bob", "lib")
 	must(err)
 	lwt, err = lib.Checkout("main")

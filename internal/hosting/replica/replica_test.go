@@ -109,13 +109,13 @@ func waitFullResyncs(t *testing.T, rep *Replicator, n int64) {
 
 func closureSet(t *testing.T, s store.Store, root object.ID) map[object.ID]bool {
 	t.Helper()
-	ids, err := store.ClosureIDs(s, root)
+	set := map[object.ID]bool{}
+	err := store.WalkClosure(s, func(id object.ID, _ object.Object) error {
+		set[id] = true
+		return nil
+	}, root)
 	if err != nil {
 		t.Fatal(err)
-	}
-	set := make(map[object.ID]bool, len(ids))
-	for _, id := range ids {
-		set[id] = true
 	}
 	return set
 }

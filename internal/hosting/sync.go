@@ -229,7 +229,7 @@ func VerifyConnectedClosure(s store.Store, uploaded map[object.ID]object.Object,
 				}
 			}
 		}
-		have, err := store.HasMany(s, unknown)
+		have, err := s.HasMany(unknown)
 		if err != nil {
 			return err
 		}

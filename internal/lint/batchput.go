@@ -12,13 +12,12 @@ import (
 // (PR 2's batch API, PR 5's journaled pack appends). A `Put` in a loop
 // degrades that to one lock acquisition, one fanout scan and one index
 // write per object; on the pack store it also journals one segment per
-// object. Collect the batch and write it once via store.PutMany /
-// store.PutManyEncoded (package-level helpers fall back gracefully on
-// stores without native batch support).
+// object. Collect the batch and write it once via PutMany /
+// PutManyEncoded, which every store implements.
 //
-// The store package itself is exempt (its fallback helpers loop by
-// design), as are `main` packages (demo binaries) and methods themselves
-// named Put/PutEncoded (interface forwarding wrappers).
+// The store package itself is exempt (it implements the batch paths), as
+// are `main` packages (demo binaries) and methods themselves named
+// Put/PutEncoded (interface forwarding wrappers).
 var BatchPut = &Analyzer{
 	Name: "batchput",
 	Doc:  "flag store Put/PutEncoded calls inside loops; batch through PutMany/PutManyEncoded",

@@ -11,11 +11,11 @@ const storePathSuffix = "internal/vcs/store"
 
 // NoIDScan rejects Store.IDs() calls outside the store package itself.
 //
-// IDs() enumerates every object — O(repository) work, and on the loose
-// FileStore a full directory tree scan. PR 4 removed the last hot-path
-// caller by giving every store an ordered index behind IDsByPrefix /
-// PrefixSearcher, and the bench counters pin zero full scans per prefix
-// resolve; one careless IDs() call in a resolver or handler silently
+// IDs() enumerates every object — O(repository) work, and on a repository
+// with a legacy loose tier a full directory tree scan. PR 4 removed the last
+// hot-path caller by giving every store an ordered index behind
+// IDsByPrefix, which every Store implements, and the bench counters pin
+// zero full scans per prefix resolve; one careless IDs() call in a resolver or handler silently
 // reintroduces the O(n) behaviour. Abbreviated-ID lookups must go through
 // store.IDsByPrefix, presence checks through Has/HasMany.
 //
@@ -24,7 +24,7 @@ const storePathSuffix = "internal/vcs/store"
 var NoIDScan = &Analyzer{
 	Name: "noidscan",
 	Doc: "flag Store.IDs() calls outside " + storePathSuffix +
-		" (prefix lookups must use IDsByPrefix/PrefixSearcher)",
+		" (prefix lookups must use Store.IDsByPrefix)",
 	Run: runNoIDScan,
 }
 

@@ -165,7 +165,7 @@ func Enable(repo *gitcite.Repo, branch, newBranch string, opts Options) (Report,
 
 	// Land every synthesised citation blob in one batch write BEFORE the
 	// branch ref makes the rewritten history reachable.
-	if err := store.PutManyEncoded(repo.VCS.Objects, pendingBlobs); err != nil {
+	if err := repo.VCS.Objects.PutManyEncoded(pendingBlobs); err != nil {
 		return Report{}, err
 	}
 

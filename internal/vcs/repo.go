@@ -53,27 +53,13 @@ func NewMemoryRepository() *Repository {
 	}
 }
 
-// OpenFileRepository opens (creating if needed) a repository persisted under
-// dir — objects in dir/objects, refs in dir/refs + dir/HEAD. Reads go
-// through a decoded-object cache over the loose-object files.
-func OpenFileRepository(dir string) (*Repository, error) {
-	objs, err := store.NewFileStore(dir + "/objects")
-	if err != nil {
-		return nil, err
-	}
-	rs, err := refs.NewFileStore(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &Repository{Objects: store.NewCachedStore(objs, objectCacheCap), Refs: rs}, nil
-}
-
 // OpenPackedFileRepository opens (creating if needed) a repository persisted
-// under dir with pack-based object storage: objects live in append-only pack
-// files under dir/objects/pack with a sorted fan-out ID index per pack, and
-// any loose objects already under dir/objects stay readable until Repack
-// folds them in. Reads go through the same decoded-object cache as the
-// loose-object layout.
+// under dir — objects in dir/objects, refs in dir/refs + dir/HEAD. It is the
+// one way to open an on-disk repository: objects append to pack files under
+// dir/objects/pack with a sorted fan-out ID index per pack, and the loose
+// objects of a repository written before every repository wrote packs stay
+// readable under dir/objects until Repack folds them in. Reads go through a
+// decoded-object cache.
 func OpenPackedFileRepository(dir string) (*Repository, error) {
 	objs, err := store.NewPackStore(dir + "/objects")
 	if err != nil {
@@ -86,10 +72,10 @@ func OpenPackedFileRepository(dir string) (*Repository, error) {
 	return &Repository{Objects: store.NewCachedStore(objs, objectCacheCap), Refs: rs}, nil
 }
 
-// Close releases the repository's storage resources — for a pack-backed
+// Close releases the repository's storage resources — for an on-disk
 // repository, the open pack file handles (the decoded-object cache
-// forwards to its backend). Memory- and loose-file-backed repositories
-// hold no persistent handles, so Close is a no-op for them. The repository
+// forwards to its backend). A memory-backed repository holds no persistent
+// handles, so Close is a no-op for it. The repository
 // must not be used after Close; reopening the same directory yields a
 // fresh, fully consistent instance (crash-safety of the on-disk formats
 // guarantees that even without Close). This is the close chain the hosted
@@ -101,10 +87,10 @@ func (r *Repository) Close() error {
 	return nil
 }
 
-// Repack folds the repository's loose objects into its pack storage and
-// consolidates its packs (store.PackStore.Repack). It reports how many
-// loose objects were folded in, and errors when the repository's object
-// store is not pack-based. The fold is concurrent: it may run alongside
+// Repack folds the repository's legacy loose objects into its pack storage
+// and consolidates its packs (store.PackStore.Repack). It reports how many
+// loose objects were folded in, and errors for a repository not on disk
+// (an in-memory one). The fold is concurrent: it may run alongside
 // reads and commits, which keep succeeding for its whole duration — the
 // store lock is taken only to freeze the append target at the start and
 // for the brief fsync'd swap at the end. A store already consolidated to a
@@ -133,7 +119,7 @@ var ErrAmbiguousPrefix = errors.New("vcs: ambiguous commit ID prefix")
 // is O(log n) — never a full IDs() enumeration — on stores with native
 // prefix support.
 func (r *Repository) ResolveCommitPrefix(prefix string) (object.ID, error) {
-	ids, err := store.IDsByPrefix(r.Objects, prefix, 0)
+	ids, err := r.Objects.IDsByPrefix(prefix, 0)
 	if err != nil {
 		return object.ZeroID, err
 	}

@@ -422,7 +422,7 @@ func TestForkPreservesHistoryAndIDs(t *testing.T) {
 
 func TestFileRepositoryPersists(t *testing.T) {
 	dir := t.TempDir()
-	r1, err := OpenFileRepository(dir + "/.gitcite")
+	r1, err := OpenPackedFileRepository(dir + "/.gitcite")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,10 +430,14 @@ func TestFileRepositoryPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := OpenFileRepository(dir + "/.gitcite")
+	if err := r1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := OpenPackedFileRepository(dir + "/.gitcite")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r2.Close()
 	head, err := r2.Head()
 	if err != nil || head != c1 {
 		t.Errorf("reopened Head = %v, %v", head, err)

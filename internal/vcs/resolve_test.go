@@ -133,10 +133,9 @@ func BenchmarkResolveCommitPrefix(b *testing.B) {
 	}
 }
 
-// BenchmarkResolveCommitPrefixFileVsPack contrasts the two persistent
-// layouts: loose fanout-directory scans vs the pack's sorted in-memory
-// index.
-func BenchmarkResolveCommitPrefixFileVsPack(b *testing.B) {
+// BenchmarkResolveCommitPrefixOnDisk resolves abbreviated commit IDs of an
+// on-disk repository through the pack's sorted in-memory index.
+func BenchmarkResolveCommitPrefixOnDisk(b *testing.B) {
 	build := func(b *testing.B, open func(dir string) (*Repository, error)) (*Repository, []object.ID) {
 		r, err := open(b.TempDir())
 		if err != nil {
@@ -167,10 +166,6 @@ func BenchmarkResolveCommitPrefixFileVsPack(b *testing.B) {
 			}
 		}
 	}
-	b.Run("file", func(b *testing.B) {
-		r, ids := build(b, OpenFileRepository)
-		run(b, r, ids)
-	})
 	b.Run("pack", func(b *testing.B) {
 		r, ids := build(b, OpenPackedFileRepository)
 		if _, err := r.Repack(); err != nil {

@@ -26,72 +26,26 @@ func benchBlobs(b *testing.B, s Store, n int) []object.ID {
 	return ids
 }
 
-func BenchmarkFileStorePut(b *testing.B) {
-	fs, err := NewFileStore(b.TempDir())
+// BenchmarkLooseTierGet reads objects a repository holds from before every
+// repository wrote packs: a packed miss, then the legacy loose file.
+func BenchmarkLooseTierGet(b *testing.B) {
+	dir := b.TempDir()
+	loose, err := newLooseWriter(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
+	ids := benchBlobs(b, loose, 256)
+	ps, err := NewPackStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ps.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fs.Put(object.NewBlobString(fmt.Sprintf("put %d", i))); err != nil {
+		if _, err := ps.Get(ids[i%len(ids)]); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkFileStorePutParallel writes distinct objects from many
-// goroutines; the striped fanout locks mean writers to different fanout
-// dirs never serialise, and compression runs outside the lock entirely.
-func BenchmarkFileStorePutParallel(b *testing.B) {
-	fs, err := NewFileStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ctr atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			n := ctr.Add(1)
-			if _, err := fs.Put(object.NewBlobString(fmt.Sprintf("put %d", n))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkFileStoreGet(b *testing.B) {
-	fs, err := NewFileStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := benchBlobs(b, fs, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fs.Get(ids[i%len(ids)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFileStoreGetParallel reads a working set from many goroutines;
-// with striped read locks and decompression outside the critical section,
-// readers scale with cores instead of queueing on one store mutex.
-func BenchmarkFileStoreGetParallel(b *testing.B) {
-	fs, err := NewFileStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := benchBlobs(b, fs, 256)
-	var ctr atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			n := ctr.Add(1)
-			if _, err := fs.Get(ids[int(n)%len(ids)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkCachedStoreGetHot(b *testing.B) {
@@ -123,14 +77,10 @@ func BenchmarkCachedStoreGetHotParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkCachedStoreOverFileParallel layers the sharded cache over the
-// striped file store — the local tool's production read path.
-func BenchmarkCachedStoreOverFileParallel(b *testing.B) {
-	fs, err := NewFileStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	cs := NewCachedStore(fs, 1024)
+// BenchmarkCachedStoreOverPackParallel layers the sharded cache over the
+// pack store — the local tool's production read path.
+func BenchmarkCachedStoreOverPackParallel(b *testing.B) {
+	cs := NewCachedStore(newBenchPackStore(b), 1024)
 	ids := benchBlobs(b, cs, 256)
 	var ctr atomic.Int64
 	b.ResetTimer()
@@ -270,7 +220,7 @@ func BenchmarkPackStoreReadDuringRepack(b *testing.B) {
 			// single-pack fast path and exercise the loose→pack move.
 			for i := 0; i < 64; i++ {
 				seq++
-				if _, err := ps.loose.Put(object.NewBlobString(fmt.Sprintf("loose churn %d", seq))); err != nil {
+				if _, err := (looseWriter{ps.loose}).Put(object.NewBlobString(fmt.Sprintf("loose churn %d", seq))); err != nil {
 					b.Error(err)
 					return
 				}
@@ -320,10 +270,10 @@ func BenchmarkPackStoreReadDuringRepack(b *testing.B) {
 	b.ReportMetric(float64(n), "repacks")
 }
 
-// BenchmarkStoreColdOpen contrasts what a cold process pays to open each
-// persistent layout: the pack store loads its sorted indexes (no object
-// I/O); the loose layout defers the cost to later directory scans but then
-// pays it per IDs()-style operation.
+// BenchmarkStoreColdOpen contrasts what a cold process pays to open a
+// repository and count its objects: a packed one loads its sorted indexes
+// (no object I/O); one still in the legacy loose layout walks every fanout
+// directory.
 func BenchmarkStoreColdOpen(b *testing.B) {
 	const objs = 2048
 	b.Run("pack", func(b *testing.B) {
@@ -351,20 +301,21 @@ func BenchmarkStoreColdOpen(b *testing.B) {
 	})
 	b.Run("loose", func(b *testing.B) {
 		dir := b.TempDir()
-		seed, err := NewFileStore(dir)
+		seed, err := newLooseWriter(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
 		benchBlobs(b, seed, objs)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fs, err := NewFileStore(dir)
+			ps, err := NewPackStore(dir)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if n, _ := fs.Len(); n != objs {
+			if n, _ := ps.Len(); n != objs {
 				b.Fatalf("Len = %d, want %d", n, objs)
 			}
+			ps.Close()
 		}
 	})
 }

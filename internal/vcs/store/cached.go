@@ -91,8 +91,7 @@ func (s *CachedStore) Close() error {
 }
 
 // Backend returns the store the cache reads through — callers that need a
-// backend-specific operation (PackStore.Repack, FileStore.Root) unwrap
-// through it.
+// backend-specific operation (PackStore.Repack) unwrap through it.
 func (s *CachedStore) Backend() Store { return s.backend }
 
 // Stats returns the cumulative hit and miss counts. Every Get or Has that
@@ -168,7 +167,7 @@ func (s *CachedStore) insert(id object.ID, o object.Object) {
 // PutMany implements BatchStore: the batch goes to the backend's batch
 // path, then populates the cache.
 func (s *CachedStore) PutMany(objs []object.Object) ([]object.ID, error) {
-	ids, err := PutMany(s.backend, objs)
+	ids, err := s.backend.PutMany(objs)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +186,7 @@ func (s *CachedStore) PutMany(objs []object.Object) ([]object.ID, error) {
 // commits above them are read back by the very next commit, negotiation or
 // citation lookup.
 func (s *CachedStore) PutManyEncoded(batch []Encoded) error {
-	if err := PutManyEncoded(s.backend, batch); err != nil {
+	if err := s.backend.PutManyEncoded(batch); err != nil {
 		return err
 	}
 	for _, e := range batch {
@@ -231,7 +230,7 @@ func (s *CachedStore) HasMany(ids []object.ID) ([]bool, error) {
 	for j, i := range missIdx {
 		missIDs[j] = ids[i]
 	}
-	backendHave, err := HasMany(s.backend, missIDs)
+	backendHave, err := s.backend.HasMany(missIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -260,9 +259,9 @@ func (s *CachedStore) Has(id object.ID) (bool, error) {
 func (s *CachedStore) IDs() ([]object.ID, error) { return s.backend.IDs() }
 
 // IDsByPrefix implements PrefixSearcher by delegating to the backend's
-// ordered index (or the package-level fallback when it has none).
+// ordered index.
 func (s *CachedStore) IDsByPrefix(prefix string, limit int) ([]object.ID, error) {
-	return IDsByPrefix(s.backend, prefix, limit)
+	return s.backend.IDsByPrefix(prefix, limit)
 }
 
 // Len implements Store.

@@ -142,13 +142,20 @@ func TestCachedStoreSingleflightError(t *testing.T) {
 	}
 }
 
-// TestFileStoreConcurrent drives parallel Put/Get/Has across the striped
-// locks; run with -race.
+// TestFileStoreConcurrent drives parallel Put/Get/Has on a PackStore
+// opened over a legacy loose repository, while other goroutines re-put
+// content the loose tier already holds; run with -race.
 func TestFileStoreConcurrent(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
+	dir := t.TempDir()
+	loose, err := newLooseWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	shared, err := loose.Put(object.NewBlobString("shared content"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := newTestPackStore(t, dir)
 	const writers = 4
 	const objects = 50
 	var wg sync.WaitGroup
@@ -176,7 +183,7 @@ func TestFileStoreConcurrent(t *testing.T) {
 			}
 		}(w)
 	}
-	// Concurrent duplicate Puts of identical content must all succeed.
+	// Concurrent duplicate Puts of content stored loose must all succeed.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func() {
@@ -184,6 +191,10 @@ func TestFileStoreConcurrent(t *testing.T) {
 			for i := 0; i < objects; i++ {
 				if _, err := fs.Put(object.NewBlobString("shared content")); err != nil {
 					t.Errorf("dup Put: %v", err)
+					return
+				}
+				if _, err := fs.Get(shared); err != nil {
+					t.Errorf("Get loose: %v", err)
 					return
 				}
 			}
@@ -199,6 +210,9 @@ func TestFileStoreConcurrent(t *testing.T) {
 	}
 	if want := writers*objects + 1; n != want {
 		t.Errorf("Len = %d, want %d", n, want)
+	}
+	if got := fs.Stats().PackedObjects; got != writers*objects {
+		t.Errorf("%d objects packed, want %d: content stored loose was packed again", got, writers*objects)
 	}
 }
 

@@ -97,9 +97,12 @@ func formatObjects(t *testing.T) map[string]object.Object {
 	return map[string]object.Object{"blob": blob, "tree": small, "wide-tree": wide, "commit": commit}
 }
 
-// TestRecordFormatByKind pins what each backend writes: a tree or commit
+// TestRecordFormatByKind pins the payload format by kind: a tree or commit
 // payload is a zlib stream of stored blocks that carry the canonical
-// encoding verbatim, while a blob is deflated.
+// encoding verbatim, while a blob is deflated. PackStore is what every
+// repository writes; FileStore is the legacy loose layout as the fixture
+// writer lays it out, the files the loose tier reads and Repack moves into
+// a pack byte for byte.
 func TestRecordFormatByKind(t *testing.T) {
 	objs := formatObjects(t)
 	batch := make([]Encoded, 0, len(objs))
@@ -111,7 +114,7 @@ func TestRecordFormatByKind(t *testing.T) {
 		names[id] = name
 	}
 
-	fs, err := NewFileStore(filepath.Join(t.TempDir(), "objects"))
+	fs, err := newLooseWriter(filepath.Join(t.TempDir(), "objects"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +193,7 @@ func TestBestSpeedRecordsStillRead(t *testing.T) {
 	mem := NewMemoryStore()
 	tip := randomHistory(t, mem, 35)
 	want := closureFingerprint(t, mem, tip)
-	ids, err := ClosureIDs(mem, tip)
+	ids, err := closureIDs(mem, tip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +218,7 @@ func TestBestSpeedRecordsStillRead(t *testing.T) {
 	// Even-indexed objects go loose, odd-indexed ones into one pack
 	// appended through the pack writer with the legacy payloads.
 	dir := filepath.Join(t.TempDir(), "objects")
-	fs, err := NewFileStore(dir)
+	fs, err := newLooseWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,14 +267,11 @@ func TestBestSpeedRecordsStillRead(t *testing.T) {
 			t.Fatalf("%s: closure differs from the MemoryStore it was built from", what)
 		}
 	}
-	loose, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loose := &looseStore{root: dir}
 	for i, id := range ids {
 		if i%2 == 0 {
 			if o, err := loose.Get(id); err != nil || !bytes.Equal(object.Encode(o), encs[id]) {
-				t.Fatalf("FileStore: Get %s: err %v", id.Short(), err)
+				t.Fatalf("loose tier: Get %s: err %v", id.Short(), err)
 			}
 		}
 	}

@@ -5,8 +5,8 @@
 // (packseg.go) and re-snapshotted only when a pack is opened or rolls, so
 // persisting index state costs O(batch) per mutation; MemoryStore builds
 // one lazily over its key set; the abbreviated-revision resolvers in
-// internal/hosting and cmd/gitcite query it through the PrefixSearcher
-// interface instead of scanning Store.IDs() per lookup.
+// internal/hosting and cmd/gitcite query it through Store.IDsByPrefix
+// instead of scanning Store.IDs() per lookup.
 package store
 
 import (
@@ -74,10 +74,6 @@ func idLess(a, b object.ID) bool {
 
 // Len returns the number of indexed IDs.
 func (x *IDIndex) Len() int { return len(x.ids) }
-
-// IDs returns the indexed IDs in sorted order. The caller must not mutate
-// the returned slice.
-func (x *IDIndex) IDs() []object.ID { return x.ids }
 
 // bucket returns the sorted sub-slice of IDs sharing the first byte b,
 // together with its starting position.
@@ -178,10 +174,9 @@ func (l *lazyIDIndex) get(mu *sync.RWMutex, gen func() uint64, collect func() []
 	return l.idx
 }
 
-// PrefixSearcher is the optional ordered-index extension of Store. Stores
-// that implement it answer hex-prefix ID queries without enumerating every
-// stored object — O(log n) per lookup instead of the O(n) IDs() scan the
-// package-level IDsByPrefix helper falls back to.
+// PrefixSearcher is the ordered-index part of Store: hex-prefix ID queries
+// answered without enumerating every stored object — O(log n) per lookup
+// instead of an O(n) IDs() scan.
 type PrefixSearcher interface {
 	// IDsByPrefix returns up to limit stored object IDs whose lower-case
 	// hex form begins with prefix (limit <= 0 returns all), in unspecified
@@ -189,29 +184,7 @@ type PrefixSearcher interface {
 	IDsByPrefix(prefix string, limit int) ([]object.ID, error)
 }
 
-// IDsByPrefix answers a hex-prefix ID query through the store's ordered
-// index when it has one, and by a full IDs() scan otherwise.
+// IDsByPrefix answers a hex-prefix ID query (s.IDsByPrefix).
 func IDsByPrefix(s Store, prefix string, limit int) ([]object.ID, error) {
-	if ps, ok := s.(PrefixSearcher); ok {
-		return ps.IDsByPrefix(prefix, limit)
-	}
-	lo, hi, err := prefixBounds(prefix)
-	if err != nil {
-		return nil, err
-	}
-	ids, err := s.IDs()
-	if err != nil {
-		return nil, err
-	}
-	var out []object.ID
-	for _, id := range ids {
-		if idLess(id, lo) || idLess(hi, id) {
-			continue
-		}
-		out = append(out, id)
-		if limit > 0 && len(out) == limit {
-			break
-		}
-	}
-	return out, nil
+	return s.IDsByPrefix(prefix, limit)
 }

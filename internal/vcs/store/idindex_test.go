@@ -138,9 +138,8 @@ func TestIDIndexDeduplicates(t *testing.T) {
 	}
 }
 
-// TestIDsByPrefixAcrossStores checks every store implementation (native
-// PrefixSearcher or the package-level fallback) answers prefix queries
-// identically to the naive scan.
+// TestIDsByPrefixAcrossStores checks every store implementation answers
+// prefix queries identically to the naive scan.
 func TestIDsByPrefixAcrossStores(t *testing.T) {
 	for name, s := range batchStores(t) {
 		t.Run(name, func(t *testing.T) {
@@ -177,6 +176,51 @@ func TestIDsByPrefixAcrossStores(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLooseTierPrefixSearch checks a PackStore whose objects are half
+// packed and half in the legacy loose tier answers prefix queries
+// identically to the naive scan, before and after Repack folds the tier.
+func TestLooseTierPrefixSearch(t *testing.T) {
+	dir := t.TempDir()
+	loose, err := newLooseWriter(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var objs []object.Object
+	for i := 0; i < 200; i++ {
+		objs = append(objs, object.NewBlobString(fmt.Sprintf("legacy prefix object %d", i)))
+	}
+	looseIDs, err := loose.PutMany(objs[:100])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := newTestPackStore(t, dir)
+	packedIDs, err := ps.PutMany(objs[100:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := append(looseIDs, packedIDs...)
+	sorted := sortIDs(ids)
+	check := func(when string) {
+		for _, id := range append(append([]object.ID(nil), ids[:10]...), ids[100:110]...) {
+			for _, l := range []int{1, 2, 4, 8} {
+				p := id.String()[:l]
+				got, err := ps.IDsByPrefix(p, 0)
+				if err != nil {
+					t.Fatalf("%s: IDsByPrefix(%q): %v", when, p, err)
+				}
+				if want := naiveByPrefix(sorted, p, 0); !idsEqual(sortIDs(got), want) {
+					t.Errorf("%s: IDsByPrefix(%q) = %d ids, want %d", when, p, len(got), len(want))
+				}
+			}
+		}
+	}
+	check("loose tier")
+	if folded, err := ps.Repack(); err != nil || folded != 100 {
+		t.Fatalf("Repack folded %d, %v; want 100", folded, err)
+	}
+	check("after Repack")
 }
 
 // TestMemoryStoreIndexInvalidation checks new objects become prefix-visible

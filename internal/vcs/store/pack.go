@@ -5,9 +5,9 @@
 // the objects; lookups are an O(1) map hit backed by one pread; abbreviated
 // IDs resolve through the ordered index in O(log n).
 //
-// On-disk layout (sharing the root of a loose FileStore, like Git):
+// On-disk layout (sharing its root with the legacy loose tier, like Git):
 //
-//	root/ab/cdef…        loose objects (legacy; read fallback, Repack input)
+//	root/ab/cdef…        loose objects (legacy, read-only; Repack input)
 //	root/pack/pack-000001.pack
 //	root/pack/pack-000001.idx
 //	root/pack/pack-000001.seg   (current pack only: per-batch index segments)
@@ -81,15 +81,15 @@ type packFile struct {
 }
 
 // PackStore stores objects in append-only pack files with sorted indexes,
-// reading through to a loose FileStore at the same root for objects that
-// predate packing. It implements Store, BatchStore, RawBatchStore and
-// PrefixSearcher and is safe for concurrent use: reads share an RLock and
-// one pread; writes serialise on the mutex, appending to the store's
-// current pack and journaling the batch's index entries. Repack runs
-// concurrently with both — see Repack.
+// reading through to the read-only loose tier at the same root for objects
+// written before every repository wrote packs. It is the one durable Store,
+// every on-disk repository's, local or hosted, and is safe for concurrent
+// use: reads share an RLock and one pread; writes serialise on the mutex,
+// appending to the store's current pack and journaling the batch's index
+// entries. Repack runs concurrently with both — see Repack.
 type PackStore struct {
 	root  string
-	loose *FileStore
+	loose *looseStore
 
 	mu    sync.RWMutex
 	packs []*packFile
@@ -163,23 +163,16 @@ var repackBuildHook func()
 // Loose objects already under dir remain readable; Repack folds them into
 // a pack.
 func NewPackStore(dir string) (*PackStore, error) {
-	loose, err := NewFileStore(dir)
-	if err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(filepath.Join(dir, packDirName), 0o755); err != nil {
 		return nil, fmt.Errorf("store: create pack dir: %w", err)
 	}
-	s := &PackStore{root: dir, loose: loose}
+	s := &PackStore{root: dir, loose: &looseStore{root: dir}}
 	if err := s.loadPacks(); err != nil {
 		s.Close()
 		return nil, err
 	}
 	return s, nil
 }
-
-// Root returns the directory the store persists into.
-func (s *PackStore) Root() string { return s.root }
 
 // IdxBytesWritten reports the cumulative index bytes this store instance
 // has persisted: one O(batch) journal segment per append batch, plus the
@@ -709,7 +702,7 @@ func (s *PackStore) PutManyEncoded(batch []Encoded) error {
 // packReadBufPool recycles the pread scratch buffers packed Gets stage
 // compressed payloads in, so a hot read loop stops allocating one
 // payload-sized buffer per object (the decompressors themselves are the
-// same pooled zlib readers FileStore uses).
+// pooled zlib readers of decompress).
 var packReadBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 32<<10)
 	return &b
@@ -750,7 +743,7 @@ func (s *PackStore) readPacked(id object.ID, bufp *[]byte) (compressed []byte, f
 
 // Get implements Store: one map hit and one pread (into a pooled scratch
 // buffer) from the owning pack, with decompression and hash verification
-// outside the lock; loose objects read through the FileStore fallback. A
+// outside the lock; loose objects read through the legacy loose tier. A
 // loose miss re-checks the packs once — a concurrent Repack may have
 // folded the object between the two lookups, and that move is the only way
 // a stored object relocates. A store without loose objects skips the loose
@@ -1051,8 +1044,8 @@ func (s *PackStore) Repack() (int, error) {
 	// The old packs and loose files are about to become the ONLY casualties
 	// of this operation — fsync the new pack, its index and the directory
 	// before any deletion, or a power loss could take both copies.
-	// (Ordinary appends skip fsync, like the loose store: a crash there
-	// loses only the newest writes, never the sole copy of anything.)
+	// (Ordinary appends skip fsync: a crash there loses only the newest
+	// writes, never the sole copy of anything.)
 	if err := np.f.Sync(); err != nil {
 		return fail(fmt.Errorf("store: sync repacked pack: %w", err))
 	}
@@ -1131,18 +1124,7 @@ func (s *PackStore) allocatePack() (*packFile, error) {
 	return createPack(path)
 }
 
-// PackCount reports how many pack files the store currently holds (loose
-// objects excluded) — observability for repack policies and tests.
-func (s *PackStore) PackCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.packs)
-}
-
 var _ interface {
 	Store
-	BatchStore
-	RawBatchStore
-	PrefixSearcher
 	io.Closer
 } = (*PackStore)(nil)

@@ -150,7 +150,8 @@ func newTestPackStore(t *testing.T, dir string) *PackStore {
 }
 
 // TestClosureBitIdenticalAcrossStores is the cross-backend property suite:
-// the same random history transferred into Memory, File and Pack stores —
+// the same random history transferred into a MemoryStore, into the legacy
+// loose layout read back through a PackStore, and into a PackStore —
 // through a Repack and a cold reopen of the pack, and out of a write-through
 // cache that never read what it serves — always yields bit-identical object
 // closures.
@@ -162,15 +163,15 @@ func TestClosureBitIdenticalAcrossStores(t *testing.T) {
 			want := closureFingerprint(t, mem, tip)
 
 			fileDir := filepath.Join(t.TempDir(), "objects")
-			fs, err := NewFileStore(fileDir)
+			fs, err := newLooseWriter(fileDir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := CopyClosure(fs, mem, tip); err != nil {
 				t.Fatal(err)
 			}
-			if got := closureFingerprint(t, fs, tip); got != want {
-				t.Error("FileStore closure differs from MemoryStore")
+			if got := closureFingerprint(t, newTestPackStore(t, fileDir), tip); got != want {
+				t.Error("loose closure read through a PackStore differs from MemoryStore")
 			}
 
 			packDir := filepath.Join(t.TempDir(), "objects")
@@ -188,8 +189,8 @@ func TestClosureBitIdenticalAcrossStores(t *testing.T) {
 			if got := closureFingerprint(t, ps, tip); got != want {
 				t.Error("PackStore closure differs after Repack")
 			}
-			if ps.PackCount() != 1 {
-				t.Errorf("PackCount after Repack = %d, want 1", ps.PackCount())
+			if ps.Stats().Packs != 1 {
+				t.Errorf("packs after Repack = %d, want 1", ps.Stats().Packs)
 			}
 
 			if err := ps.Close(); err != nil {
@@ -354,7 +355,7 @@ func TestPackStoreAppendIdxBytesPerBatch(t *testing.T) {
 // every probe below would block until the watchdog fails the test.
 func TestRepackBuildPhaseHoldsNoLock(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "objects")
-	loose, err := NewFileStore(dir)
+	loose, err := newLooseWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,8 +434,8 @@ func TestRepackBuildPhaseHoldsNoLock(t *testing.T) {
 	if ok, _ := ps.Has(probedID); !ok {
 		t.Error("object written during the build phase lost by the swap")
 	}
-	if got := ps.PackCount(); got != 2 {
-		t.Errorf("PackCount after repack = %d, want 2 (consolidated pack + mid-build survivor)", got)
+	if got := ps.Stats().Packs; got != 2 {
+		t.Errorf("packs after repack = %d, want 2 (consolidated pack + mid-build survivor)", got)
 	}
 }
 
@@ -476,7 +477,7 @@ func TestPackStoreIgnoresOrphanStaleIdx(t *testing.T) {
 // pack with nothing loose must return from Repack without touching disk.
 func TestRepackFastPathRewritesNothing(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "objects")
-	loose, err := NewFileStore(dir)
+	loose, err := newLooseWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,8 +487,8 @@ func TestRepackFastPathRewritesNothing(t *testing.T) {
 	if _, err := ps.Repack(); err != nil {
 		t.Fatal(err)
 	}
-	if ps.PackCount() != 1 {
-		t.Fatalf("PackCount after consolidating repack = %d, want 1", ps.PackCount())
+	if ps.Stats().Packs != 1 {
+		t.Fatalf("packs after consolidating repack = %d, want 1", ps.Stats().Packs)
 	}
 	packs, _ := filepath.Glob(filepath.Join(dir, packDirName, "*.pack"))
 	if len(packs) != 1 {
@@ -653,8 +654,8 @@ func TestPackStoreTornTailIgnored(t *testing.T) {
 	if _, err := survivor.Put(object.NewBlobString("after torn tail")); err != nil {
 		t.Fatalf("Put after torn tail: %v", err)
 	}
-	if survivor.PackCount() < 2 {
-		t.Errorf("PackCount = %d; writes after a torn tail must start a fresh pack", survivor.PackCount())
+	if survivor.Stats().Packs < 2 {
+		t.Errorf("packs = %d; writes after a torn tail must start a fresh pack", survivor.Stats().Packs)
 	}
 	if err := survivor.Close(); err != nil {
 		t.Fatal(err)
@@ -700,8 +701,8 @@ func TestPackStoreRollsOverLargePacks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ps.PackCount() < 2 {
-		t.Errorf("PackCount = %d after %d objects, want >= 2 (rollover at %d)", ps.PackCount(), total, packRollEntries)
+	if ps.Stats().Packs < 2 {
+		t.Errorf("packs = %d after %d objects, want >= 2 (rollover at %d)", ps.Stats().Packs, total, packRollEntries)
 	}
 	for _, i := range []int{0, packRollEntries - 1, packRollEntries, total - 1} {
 		if ok, _ := ps.Has(ids[i]); !ok {
@@ -714,20 +715,20 @@ func TestPackStoreRollsOverLargePacks(t *testing.T) {
 	if _, err := ps.Repack(); err != nil {
 		t.Fatal(err)
 	}
-	if ps.PackCount() != 1 {
-		t.Errorf("PackCount after Repack = %d, want 1", ps.PackCount())
+	if ps.Stats().Packs != 1 {
+		t.Errorf("packs after Repack = %d, want 1", ps.Stats().Packs)
 	}
 	if n, _ := ps.Len(); n != total {
 		t.Errorf("Len after Repack = %d, want %d", n, total)
 	}
 }
 
-// TestRepackFoldsLooseObjects opens a PackStore over an existing loose
-// FileStore layout and checks Repack absorbs every loose object
+// TestRepackFoldsLooseObjects opens a PackStore over an existing legacy
+// loose layout and checks Repack absorbs every loose object
 // byte-for-byte and removes the loose files.
 func TestRepackFoldsLooseObjects(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "objects")
-	loose, err := NewFileStore(dir)
+	loose, err := newLooseWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -762,8 +763,8 @@ func TestRepackFoldsLooseObjects(t *testing.T) {
 	if ids, _ := loose.IDs(); len(ids) != 0 {
 		t.Errorf("%d loose objects remain after Repack, want 0", len(ids))
 	}
-	if ps.PackCount() != 1 {
-		t.Errorf("PackCount = %d, want 1", ps.PackCount())
+	if ps.Stats().Packs != 1 {
+		t.Errorf("packs = %d, want 1", ps.Stats().Packs)
 	}
 	// Emptied fanout directories are pruned.
 	entries, err := os.ReadDir(dir)
@@ -792,18 +793,18 @@ func TestRepackFoldsLooseObjects(t *testing.T) {
 // closed pack file while objects relocate.
 func TestPackStoreConcurrentReadersDuringRepack(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "objects")
-	loose, err := NewFileStore(dir)
+	loose, err := newLooseWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	looseTip := randomHistory(t, loose, 29)
-	looseIDs, err := ClosureIDs(loose, looseTip)
+	looseIDs, err := closureIDs(loose, looseTip)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ps := newTestPackStore(t, dir)
 	packedTip := randomHistory(t, ps, 31)
-	packedIDs, err := ClosureIDs(ps, packedTip)
+	packedIDs, err := closureIDs(ps, packedTip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -936,7 +937,7 @@ func TestPackStoreAsksLooseTierOnlyWhenItHoldsObjects(t *testing.T) {
 		t.Helper()
 		dir := t.TempDir()
 		if loose {
-			fs, err := NewFileStore(dir)
+			fs, err := newLooseWriter(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -956,7 +957,7 @@ func TestPackStoreAsksLooseTierOnlyWhenItHoldsObjects(t *testing.T) {
 		if err := os.WriteFile(poison, nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s.loose = &FileStore{root: poison}
+		s.loose = &looseStore{root: poison}
 		return s
 	}
 

@@ -3,10 +3,11 @@
 // because IDs are content hashes, Put is idempotent and objects are
 // immutable once stored.
 //
-// Three implementations are provided: MemoryStore (tests, hosting platform,
-// benchmarks), FileStore (the on-disk layout used by the local tool, with
-// zlib-compressed loose objects), and CachedStore (an LRU read-through cache
-// layered over any Store).
+// Three implementations are provided: MemoryStore (tests, in-memory
+// repositories), PackStore (every on-disk repository, local or hosted:
+// append-only pack files with a sorted ID index, reading through to the
+// read-only loose tier of repositories written before packs) and
+// CachedStore (an LRU read-through cache layered over any Store).
 package store
 
 import (
@@ -34,14 +35,15 @@ type Store interface {
 	IDs() ([]object.ID, error)
 	// Len returns the number of stored objects.
 	Len() (int, error)
+
+	BatchStore
+	RawBatchStore
+	PrefixSearcher
 }
 
-// BatchStore is the optional batch extension of Store. Stores that
-// implement it amortise synchronisation and filesystem traffic over many
-// objects at once — one lock acquisition per shard or fanout directory
-// instead of one per object. Callers should go through the package-level
-// PutMany/HasMany helpers, which fall back to per-object calls on stores
-// without native batch support.
+// BatchStore is the batch half of Store: it amortises synchronisation and
+// I/O over many objects at once — one lock acquisition per shard, one pack
+// append per batch — instead of paying them per object.
 type BatchStore interface {
 	// PutMany stores every object, returning their IDs in input order.
 	// Like Put, storing objects already present is a cheap no-op.
@@ -51,23 +53,9 @@ type BatchStore interface {
 	HasMany(ids []object.ID) ([]bool, error)
 }
 
-// PutMany stores a batch of objects through the store's native batch path
-// when it has one, and object-by-object otherwise. IDs are returned in
-// input order.
-func PutMany(s Store, objs []object.Object) ([]object.ID, error) {
-	if bs, ok := s.(BatchStore); ok {
-		return bs.PutMany(objs)
-	}
-	ids := make([]object.ID, len(objs))
-	for i, o := range objs {
-		id, err := s.Put(o)
-		if err != nil {
-			return nil, err
-		}
-		ids[i] = id
-	}
-	return ids, nil
-}
+// PutMany stores a batch of objects (s.PutMany). IDs are returned in input
+// order.
+func PutMany(s Store, objs []object.Object) ([]object.ID, error) { return s.PutMany(objs) }
 
 // Encoded is an object already in canonical form: its encoding plus the
 // ID derived from it. Producers that had to encode and hash anyway (the
@@ -87,8 +75,8 @@ type Encoded struct {
 	Obj object.Object
 }
 
-// RawBatchStore is an optional interface for stores that ingest canonical
-// encodings directly, skipping the re-encode/re-hash a Put of the decoded
+// RawBatchStore is the part of Store that ingests canonical encodings
+// directly, skipping the re-encode/re-hash a Put of the decoded
 // object would pay. The store takes ownership of the Enc slices.
 //
 // Trust contract: each ID MUST equal object.HashBytes(Enc), a non-nil Obj
@@ -103,42 +91,12 @@ type RawBatchStore interface {
 	PutManyEncoded(batch []Encoded) error
 }
 
-// PutManyEncoded stores pre-encoded objects through the store's raw batch
-// path when it has one; otherwise each encoding is decoded and stored via
-// Put.
-func PutManyEncoded(s Store, batch []Encoded) error {
-	if rs, ok := s.(RawBatchStore); ok {
-		return rs.PutManyEncoded(batch)
-	}
-	for _, e := range batch {
-		o, err := object.Decode(e.Enc)
-		if err != nil {
-			return err
-		}
-		if _, err := s.Put(o); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// PutManyEncoded stores pre-encoded objects (s.PutManyEncoded).
+func PutManyEncoded(s Store, batch []Encoded) error { return s.PutManyEncoded(batch) }
 
-// HasMany answers a batch of presence queries through the store's native
-// batch path when it has one, and one-by-one otherwise. Results are in
+// HasMany answers a batch of presence queries (s.HasMany). Results are in
 // input order.
-func HasMany(s Store, ids []object.ID) ([]bool, error) {
-	if bs, ok := s.(BatchStore); ok {
-		return bs.HasMany(ids)
-	}
-	have := make([]bool, len(ids))
-	for i, id := range ids {
-		ok, err := s.Has(id)
-		if err != nil {
-			return nil, err
-		}
-		have[i] = ok
-	}
-	return have, nil
-}
+func HasMany(s Store, ids []object.ID) ([]bool, error) { return s.HasMany(ids) }
 
 // GetBlob retrieves an object and asserts it is a blob.
 func GetBlob(s Store, id object.ID) (*object.Blob, error) {
@@ -179,32 +137,6 @@ func GetCommit(s Store, id object.ID) (*object.Commit, error) {
 	return c, nil
 }
 
-// Copy transfers the object with the given ID from src to dst. It returns
-// ErrNotFound if src lacks the object.
-func Copy(dst, src Store, id object.ID) error {
-	o, err := src.Get(id)
-	if err != nil {
-		return err
-	}
-	_, err = dst.Put(o)
-	return err
-}
-
-// CopyAll transfers every object in src into dst and reports how many
-// objects were examined.
-func CopyAll(dst, src Store) (int, error) {
-	ids, err := src.IDs()
-	if err != nil {
-		return 0, err
-	}
-	for _, id := range ids {
-		if err := Copy(dst, src, id); err != nil {
-			return 0, err
-		}
-	}
-	return len(ids), nil
-}
-
 // WalkClosure visits the full object graph reachable from the given roots
 // (commits pull in parents and trees; trees pull in entries), calling
 // visit once per object. Unlike CopyClosure it moves nothing — read
@@ -238,20 +170,6 @@ func WalkClosure(src Store, visit func(object.ID, object.Object) error, roots ..
 		}
 	}
 	return nil
-}
-
-// ClosureIDs returns every ID reachable from the given roots, via
-// WalkClosure.
-func ClosureIDs(src Store, roots ...object.ID) ([]object.ID, error) {
-	var out []object.ID
-	err := WalkClosure(src, func(id object.ID, _ object.Object) error {
-		out = append(out, id)
-		return nil
-	}, roots...)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // CopyClosure copies the full object graph reachable from the given roots

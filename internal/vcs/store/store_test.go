@@ -14,23 +14,16 @@ import (
 	"github.com/gitcite/gitcite/internal/vcs/object"
 )
 
-// stores returns one of each Store implementation, fresh per call.
+// stores returns one of each Store implementation, fresh per call, plus
+// "file": the stack a file-backed repository opens, a decoded-object cache
+// over a PackStore.
 func stores(t *testing.T) map[string]Store {
 	t.Helper()
-	fs, err := NewFileStore(filepath.Join(t.TempDir(), "objects"))
-	if err != nil {
-		t.Fatalf("NewFileStore: %v", err)
-	}
-	ps, err := NewPackStore(filepath.Join(t.TempDir(), "objects-pack"))
-	if err != nil {
-		t.Fatalf("NewPackStore: %v", err)
-	}
-	t.Cleanup(func() { ps.Close() })
 	return map[string]Store{
 		"memory": NewMemoryStore(),
-		"file":   fs,
+		"file":   NewCachedStore(newTestPackStore(t, filepath.Join(t.TempDir(), "objects")), 16),
 		"cached": NewCachedStore(NewMemoryStore(), 16),
-		"pack":   ps,
+		"pack":   newTestPackStore(t, filepath.Join(t.TempDir(), "objects-pack")),
 	}
 }
 
@@ -180,22 +173,19 @@ func TestStoreIDsAndLen(t *testing.T) {
 	}
 }
 
+// TestFileStorePersistence: an object in a repository's legacy loose
+// layout reads back through a freshly opened PackStore.
 func TestFileStorePersistence(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "objects")
-	fs1, err := NewFileStore(dir)
+	fs, err := newLooseWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := fs1.Put(object.NewBlobString("durable"))
+	id, err := fs.Put(object.NewBlobString("durable"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-open the same directory with a fresh store value.
-	fs2, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs2.Get(id)
+	got, err := newTestPackStore(t, dir).Get(id)
 	if err != nil {
 		t.Fatalf("Get after reopen: %v", err)
 	}
@@ -206,7 +196,7 @@ func TestFileStorePersistence(t *testing.T) {
 
 func TestFileStoreDetectsCorruption(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "objects")
-	fs, err := NewFileStore(dir)
+	fs, err := newLooseWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,14 +208,14 @@ func TestFileStoreDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, []byte("junk, not zlib"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Get(id); err == nil {
+	if _, err := newTestPackStore(t, dir).Get(id); err == nil {
 		t.Error("Get of corrupted object succeeded")
 	}
 }
 
 func TestFileStoreHashVerification(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "objects")
-	fs, err := NewFileStore(dir)
+	fs, err := newLooseWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +237,7 @@ func TestFileStoreHashVerification(t *testing.T) {
 	if err := os.WriteFile(aPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Get(a); err == nil {
+	if _, err := newTestPackStore(t, dir).Get(a); err == nil {
 		t.Error("hash-mismatched object accepted")
 	}
 }
@@ -295,41 +285,6 @@ func TestCachedStoreZeroCapacityPassThrough(t *testing.T) {
 	hits, _ := cs.Stats()
 	if hits != 0 {
 		t.Errorf("pass-through cache recorded %d hits", hits)
-	}
-}
-
-func TestCopyAndCopyAll(t *testing.T) {
-	src := NewMemoryStore()
-	dst := NewMemoryStore()
-	id, err := src.Put(object.NewBlobString("move me"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Copy(dst, src, id); err != nil {
-		t.Fatalf("Copy: %v", err)
-	}
-	if ok, _ := dst.Has(id); !ok {
-		t.Error("Copy did not transfer object")
-	}
-	if err := Copy(dst, src, object.NewBlobString("ghost").ID()); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Copy(missing) = %v, want ErrNotFound", err)
-	}
-
-	for i := 0; i < 5; i++ {
-		if _, err := src.Put(object.NewBlobString(fmt.Sprintf("bulk%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n, err := CopyAll(dst, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 6 {
-		t.Errorf("CopyAll examined %d, want 6", n)
-	}
-	dn, _ := dst.Len()
-	if dn != 6 {
-		t.Errorf("dst Len = %d, want 6", dn)
 	}
 }
 
@@ -418,12 +373,9 @@ func TestStoreConcurrentUse(t *testing.T) {
 }
 
 // quick-check property: for random payloads, Put/Get round-trips bytes on
-// both the memory and file stores and both agree on the ID.
+// both the memory and pack stores and both agree on the ID.
 func TestQuickStoreRoundTrip(t *testing.T) {
-	fs, err := NewFileStore(filepath.Join(t.TempDir(), "objects"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := newTestPackStore(t, filepath.Join(t.TempDir(), "objects"))
 	ms := NewMemoryStore()
 	f := func(data []byte) bool {
 		b := object.NewBlob(data)

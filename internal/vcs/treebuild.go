@@ -244,7 +244,7 @@ func BuildTreeDelta(s store.Store, base object.ID, edits map[string]TreeEdit, re
 		// one directory allowed to be empty.
 		rootID = hash(object.EmptyTree())
 	}
-	if err := store.PutManyEncoded(s, pending); err != nil {
+	if err := s.PutManyEncoded(pending); err != nil {
 		return object.ZeroID, err
 	}
 	return rootID, nil

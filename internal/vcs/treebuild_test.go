@@ -254,7 +254,11 @@ func TestBuildTreeDeltaEquivalenceProperty(t *testing.T) {
 				if errors.Is(err, faultinject.ErrInjected) {
 					// The batch was lost: everything it held is in the
 					// from-scratch closure, so that is the candidate set.
-					ids, err := store.ClosureIDs(scratch, want)
+					var ids []object.ID
+					err := store.WalkClosure(scratch, func(id object.ID, _ object.Object) error {
+						ids = append(ids, id)
+						return nil
+					}, want)
 					if err != nil {
 						t.Fatal(err)
 					}

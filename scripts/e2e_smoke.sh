@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # e2e_smoke.sh — boots a real gitcite-server and drives a full round trip
-# with the real gitcite CLI: init (pack storage) → commit → push → clone
+# with the real gitcite CLI: init → commit (lands in a pack) → push → clone
 # into a second working copy via pull → generate citations locally and over
 # the server's REST API. Run from the repository root; needs only the Go
 # toolchain and curl.
@@ -47,14 +47,20 @@ curl -sf -X POST "$BASE/api/v1/repos" \
   -H "Authorization: Bearer $TOKEN" -H 'Content-Type: application/json' \
   -d '{"name":"demo","url":"https://example.org/alice/demo","license":"MIT"}' > /dev/null
 
-echo "==> local repository: init -pack, commit, add-cite, push"
+echo "==> local repository: init, commit, add-cite, push"
 SRC="$WORK/src"
 mkdir -p "$SRC" && cd "$SRC"
-"$BIN/gitcite" init -owner alice -name demo -url "https://example.org/alice/demo" -license MIT -pack
+"$BIN/gitcite" init -owner alice -name demo -url "https://example.org/alice/demo" -license MIT
 mkdir -p lib
 printf 'hello, citation\n' > hello.txt
 printf 'package lib\n' > lib/code.go
 "$BIN/gitcite" commit -author alice -m "initial import"
+ls .gitcite/objects/pack/*.pack > /dev/null 2>&1 || { echo "FAIL: first commit wrote no pack file"; exit 1; }
+for d in .gitcite/objects/*/; do
+  case "$(basename "$d")" in
+    [0-9a-f][0-9a-f]) echo "FAIL: first commit wrote a loose fanout dir $d"; exit 1 ;;
+  esac
+done
 "$BIN/gitcite" add-cite -path /lib -owner bob -repo blib -url https://example.org/bob/blib -version 1
 "$BIN/gitcite" commit -author alice -m "cite lib"
 "$BIN/gitcite" push -server "$BASE" -token "$TOKEN" -owner alice -repo demo -branch main
@@ -62,7 +68,7 @@ printf 'package lib\n' > lib/code.go
 echo "==> second working copy: pull (cold clone) and cite"
 DST="$WORK/dst"
 mkdir -p "$DST" && cd "$DST"
-"$BIN/gitcite" init -owner alice -name demo -url "https://example.org/alice/demo" -pack
+"$BIN/gitcite" init -owner alice -name demo -url "https://example.org/alice/demo"
 "$BIN/gitcite" pull -server "$BASE" -token "$TOKEN" -owner alice -repo demo -branch main
 [ -f hello.txt ] || { echo "FAIL: pulled worktree missing hello.txt"; exit 1; }
 cite_out=$("$BIN/gitcite" cite -path /lib/code.go 2>/dev/null)
@@ -99,7 +105,7 @@ done
 echo "==> recovered server: pull into a third copy, cite, and push with the old token"
 DST2="$WORK/dst2"
 mkdir -p "$DST2" && cd "$DST2"
-"$BIN/gitcite" init -owner alice -name demo -url "https://example.org/alice/demo" -pack
+"$BIN/gitcite" init -owner alice -name demo -url "https://example.org/alice/demo"
 "$BIN/gitcite" pull -server "$BASE" -token "$TOKEN" -owner alice -repo demo -branch main
 [ -f hello.txt ] || { echo "FAIL: post-restart pull missing hello.txt"; exit 1; }
 cite2=$(curl -sf "$BASE/api/v1/repos/alice/demo/cite/main?path=/lib/code.go&format=text")
